@@ -11,7 +11,6 @@ lattices, and relaxed Markov/Leontief matrix models.
 __version__ = "0.1.0"
 
 from .ringcore import (
-    ModulusRing,
     Subfield,
     SubfieldRejection,
     certify_subfield,

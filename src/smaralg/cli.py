@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -143,7 +144,7 @@ def cmd_spectral(args):
     es = linalg.eigen_system(a)
     payload = {"eigen_system": es.to_json(), "self_adjoint": linalg.self_adjoint_check(a)}
     if payload["self_adjoint"]:
-        result = linalg.spectral_decompose(a)
+        result = linalg._spectral_from_eigen(es)
         if isinstance(result, linalg.SpectralDiagnostic):
             raise DomainError("not_diagonalizable", json.dumps(result.to_json(), sort_keys=True))
         payload["spectral"] = result.to_json()
@@ -214,7 +215,7 @@ def cmd_rep(args):
         ]
     pretty = f"regular {args.side} representation of degree {rep.degree}"
     if args.decompose:
-        dims = sorted(b.dimension for b in semigroup.decompose_invariants(rep))
+        dims = sorted(b.dimension for b in blocks)
         pretty += f", invariant block dims {dims}"
     _print_report(args, payload, CITATIONS["rep"], pretty)
     return 0
@@ -428,9 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may start with a negative entry ("-1/8,1/2;...").
+_SIGNED_VALUE_OPTIONS = ("--matrix", "--state", "--demand")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--matrix -1/8,..." as "--matrix=-1/8,...": argparse reads a
+    separate value that starts with '-' as an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and re.match(r"-\d", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
     except DomainError as exc:

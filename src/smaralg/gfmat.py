@@ -1,4 +1,4 @@
-"""Exact matrix routines over prime fields Z_q and over the integers.
+"""Exact matrix routines over prime fields Z_q.
 
 Matrices are lists of row lists of ints.  Everything is deterministic:
 echelon forms use the first nonzero pivot, nullspace bases set free
@@ -23,10 +23,6 @@ def mat_mul_mod(a, b, q: int):
             for j in range(cols):
                 out[i][j] = (out[i][j] + aik * b[k][j]) % q
     return out
-
-
-def mat_vec_mod(a, v, q: int):
-    return [sum(x * y for x, y in zip(row, v)) % q for row in a]
 
 
 def rref_mod(a, q: int):
@@ -79,117 +75,46 @@ def inverse_mod(a, q: int):
     return [row[dim:] for row in rref]
 
 
-def det_mod(a, q: int) -> int:
-    """Determinant mod prime q by Gaussian elimination."""
-    m = [row[:] for row in a]
-    dim = len(m)
-    det = 1
-    for c in range(dim):
-        pivot = next((i for i in range(c, dim) if m[i][c] % q != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = (det * m[c][c]) % q
-        inv = pow(m[c][c], -1, q)
-        for i in range(c + 1, dim):
-            if m[i][c] % q != 0:
-                factor = (m[i][c] * inv) % q
-                m[i] = [(x - factor * y) % q for x, y in zip(m[i], m[c])]
-    return det % q
-
-
-def int_det(a) -> int:
-    """Exact integer determinant by cofactor expansion memoized on
-    column masks; fine for the desk-scale dimensions used here."""
-    dim = len(a)
-    if dim == 0:
-        return 1
-    full = (1 << dim) - 1
-    memo = {}
-
-    def minor(row: int, mask: int) -> int:
-        if row == dim:
-            return 1
-        key = mask
-        if key in memo:
-            return memo[key]
-        total = 0
-        sign = 1
-        for c in range(dim):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            if a[row][c] != 0:
-                total += sign * a[row][c] * minor(row + 1, mask & ~bit)
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, full)
-
-
-# --- polynomial helpers over Z_q (coefficient lists, ascending) ---
-
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return _poly_trim(out)
-
-
-def _poly_add(a, b, q, sub=False):
-    length = max(len(a), len(b))
-    pa = a + [0] * (length - len(a))
-    pb = b + [0] * (length - len(b))
-    if sub:
-        return _poly_trim([(x - y) % q for x, y in zip(pa, pb)])
-    return _poly_trim([(x + y) % q for x, y in zip(pa, pb)])
-
-
 def charpoly_mod(a, q: int) -> list[int]:
     """Monic characteristic polynomial det(tI - A) over Z_q, ascending
-    coefficients, via cofactor expansion in the polynomial ring."""
-    dim = len(a)
-
-    def table(rows, cols):
-        # entry polynomials of tI - A restricted to rows x cols
-        return [
-            [
-                _poly_trim([(-a[r][c]) % q, 1] if r == c else [(-a[r][c]) % q])
-                for c in cols
-            ]
-            for r in rows
-        ]
-
-    def det_poly(m):
-        size = len(m)
-        if size == 1:
-            return m[0][0]
-        total = []
-        for j in range(size):
-            if not m[0][j]:
-                continue
-            sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = _poly_mul(m[0][j], det_poly(sub), q)
-            total = _poly_add(total, term, q, sub=bool(j % 2))
-        return total
-
-    poly = det_poly(table(range(dim), range(dim)))
-    poly = poly + [0] * (dim + 1 - len(poly))
-    assert poly[-1] % q == 1, "characteristic polynomial must be monic"
-    return [c % q for c in poly]
+    coefficients, in O(d^3): a similarity transform to upper Hessenberg
+    form, then the recurrence on its leading principal minors (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    h = [[x % q for x in row] for row in a]
+    dim = len(h)
+    for m in range(1, dim - 1):
+        pivot = next((i for i in range(m, dim) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, q)
+        for i in range(m + 1, dim):
+            u = h[i][m - 1] * inv % q
+            if u:
+                # row_i -= u*row_m, then column_m += u*column_i (the inverse)
+                h[i] = [(x - u * y) % q for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % q
+    # minors[m] = det(tI - H[:m, :m]), by expansion along the last column
+    minors = [[1]]
+    for m in range(1, dim + 1):
+        prev = minors[m - 1]
+        poly = [0] + prev
+        for j, c in enumerate(prev):
+            poly[j] = (poly[j] - h[m - 1][m - 1] * c) % q
+        sub = 1  # product of the subdiagonal entries h[m-1][m-2] ... h[m-i][m-i-1]
+        for i in range(1, m):
+            sub = sub * h[m - i][m - i - 1] % q
+            coef = sub * h[m - i - 1][m - 1] % q
+            for j, c in enumerate(minors[m - i - 1]):
+                poly[j] = (poly[j] - coef * c) % q
+        minors.append(poly)
+    poly = minors[dim]
+    assert poly[-1] == 1, "characteristic polynomial must be monic"
+    return poly
 
 
 def poly_eval_mod(coeffs, x: int, q: int) -> int:

@@ -205,16 +205,13 @@ def char_poly(a: SubfieldMatrix) -> CharPolyResult:
     k = a.k
     q = k.prime_order
     prime_coeffs = tuple(gfmat.charpoly_mod(to_prime_matrix(a), q))
-    n, e, dim = k.n, k.identity, a.rows
-    rendition = []
-    for lam in range(n):
-        diag = (lam * e) % n
-        m = [
-            [(diag - a.at(i, j)) % n if i == j else (-a.at(i, j)) % n for j in range(dim)]
-            for i in range(dim)
-        ]
-        rendition.append(gfmat.int_det(m) % n)
-    return CharPolyResult(prime_coeffs=prime_coeffs, zn_rendition=tuple(rendition))
+    # Every entry of lam*I_e - A lies in k (lam*e mod n is in k) and the
+    # Leibniz expansion uses only ring operations of k, so the isomorphism
+    # k -> Z_q, which sends lam*e to lam mod q, maps the determinant to p(lam).
+    rendition = tuple(
+        k.from_prime(gfmat.poly_eval_mod(prime_coeffs, lam, q)) for lam in range(k.n)
+    )
+    return CharPolyResult(prime_coeffs=prime_coeffs, zn_rendition=rendition)
 
 
 @dataclass(frozen=True)
@@ -230,12 +227,12 @@ class SEigenvalue:
 
 @dataclass(frozen=True)
 class AlienValue:
-    """A residue outside k where det(lam·I_e - A) vanishes; the witness,
-    when present, is an in-field vector with A·v = lam·v (it exists iff
-    lam·e is an in-field characteristic value)."""
+    """A residue outside k where det(lam·I_e - A) vanishes; the witness is
+    an in-field vector with A·v = lam·v, taken from the eigenspace of the
+    S-characteristic value lam·e."""
 
     value: int
-    witness: SubfieldVector | None
+    witness: SubfieldVector
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,7 @@ class EigenSystem:
                 for ev in self.s_values
             ],
             "alien_values": [
-                {"value": av.value, "witness": av.witness.to_json() if av.witness else None}
+                {"value": av.value, "witness": av.witness.to_json()}
                 for av in self.alien_values
             ],
             "diagonalizable": self.diagonalizable,
@@ -301,12 +298,11 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     for lam in range(n):
         if k.contains(lam) or cp.zn_rendition[lam] != 0:
             continue
-        ev = by_value.get((lam * k.identity) % n)
-        witness = ev.basis[0] if ev and ev.basis else None
-        if witness is not None:
-            got = apply_matrix(a, witness).entries
-            want = tuple((lam * x) % n for x in witness.entries)
-            assert got == want, f"alien witness re-verification failed at {lam}"
+        # det vanishes at lam iff lam mod q is a root, so lam·e is an s-value
+        witness = by_value[(lam * k.identity) % n].basis[0]
+        got = apply_matrix(a, witness).entries
+        want = tuple((lam * x) % n for x in witness.entries)
+        assert got == want, f"alien witness re-verification failed at {lam}"
         aliens.append(AlienValue(value=lam, witness=witness))
     diag = sum(ev.geometric_multiplicity for ev in s_values) == dim
     return EigenSystem(
@@ -390,9 +386,15 @@ def spectral_decompose(a: SubfieldMatrix):
         raise ValueError("spectral decomposition needs a square matrix")
     if not self_adjoint_check(a):
         raise ValueError("matrix is not self-adjoint (A != A^T)")
+    return _spectral_from_eigen(eigen_system(a))
+
+
+def _spectral_from_eigen(es: EigenSystem):
+    """spectral_decompose for a self-adjoint matrix whose eigen system
+    is already computed."""
+    a = es.matrix
     k = a.k
-    q, n, dim = k.prime_order, k.n, a.rows
-    es = eigen_system(a)
+    q, dim = k.prime_order, a.rows
     if not es.diagonalizable:
         for ev in es.s_values:
             if ev.geometric_multiplicity < ev.algebraic_multiplicity:

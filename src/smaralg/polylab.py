@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .ringcore import ModulusRing, Subfield, _is_prime
+from .ringcore import Subfield, _check_modulus, _is_prime
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class ModPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        ModulusRing(self.n)
+        _check_modulus(self.n)
         reduced = tuple(c % self.n for c in self.coeffs)
         while reduced and reduced[-1] == 0:
             reduced = reduced[:-1]
@@ -90,7 +90,7 @@ def parse_poly(text: str, n: int | None = None) -> ModPolynomial:
         s = s[: m.start()].strip()
     if n is None:
         raise ValueError("no modulus: pass n or append 'mod N'")
-    ModulusRing(n)
+    _check_modulus(n)
     coeffs: dict[int, int] = {}
     for raw in s.split("+"):
         term = raw.strip().replace(" ", "")

@@ -62,10 +62,6 @@ def mat_vec(a: Matrix, v) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def is_zero(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
 def rref(m: Matrix):
     """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
     work = [list(row) for row in m]
@@ -171,9 +167,7 @@ def min_poly(m: Matrix) -> list[Fraction]:
         flat = tuple(x for row in power for x in row)
         coords = solve_in_span(flats, flat) if flats else None
         if flats and coords is not None:
-            degree = len(flats)
-            coeffs = [-c for c in coords] + [Fraction(1)]
-            return coeffs
+            return [-c for c in coords] + [Fraction(1)]
         flats.append(flat)
         power = mat_mul(power, m)
         if len(flats) > dim * dim + 1:

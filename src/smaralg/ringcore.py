@@ -27,27 +27,10 @@ class SubfieldRejection(ValueError):
         super().__init__(f"{reason}: {detail}")
 
 
-@dataclass(frozen=True)
-class ModulusRing:
-    """The ring of integers modulo n, with representatives in [0, n)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-    def elements(self) -> range:
-        return range(self.n)
+def _check_modulus(n: int) -> None:
+    """Z_n is a ring with at least two elements only for n >= 2."""
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +99,7 @@ def _is_prime(q: int) -> bool:
 
 def idempotents(n: int) -> list[int]:
     """All e in [0, n) with e*e = e (mod n), ascending."""
-    ModulusRing(n)
+    _check_modulus(n)
     return [e for e in range(n) if (e * e) % n == e]
 
 
@@ -128,7 +111,7 @@ def find_subfields(n: int) -> list[Subfield]:
     Prime n yields [] since the only candidate field is Z_n itself, which
     is not a proper subset.
     """
-    ModulusRing(n)
+    _check_modulus(n)
     found = []
     for d in range(2, n + 1):
         if n % d != 0:
@@ -149,7 +132,7 @@ def certify_subfield(n: int, elements) -> Subfield:
     Raises SubfieldRejection with a structured reason on any axiom
     failure; every axiom is re-checked exhaustively, nothing is assumed.
     """
-    ModulusRing(n)
+    _check_modulus(n)
     elems = sorted(set(elements))
     if not elems:
         raise ValueError("candidate subset is empty")
@@ -223,7 +206,7 @@ def subfield_oracle(n: int) -> list[Subfield]:
     Same contract as find_subfields; restricted to n <= 64 because it is
     meant for cross-checking in tests.
     """
-    ModulusRing(n)
+    _check_modulus(n)
     if n > 64:
         raise ValueError("subfield_oracle is limited to n <= 64")
     found = []

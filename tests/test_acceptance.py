@@ -13,7 +13,7 @@ from fractions import Fraction
 from smaralg import linalg, ratmat
 from smaralg.cli import main as cli_main
 from smaralg.econ import NON_PRODUCTIVE_LABEL, closed_solve, open_solve
-from smaralg.gfmat import rref_mod
+from smaralg.gfmat import charpoly_mod, identity, mat_mul_mod, rref_mod
 from smaralg.polylab import (
     FermatFamily,
     RootTruth,
@@ -371,3 +371,16 @@ def test_criterion_11_golden_cli(capsys):
         report = json.loads(out)
         assert report["status"] == "ok"
         assert all(entry["passed"] for entry in report["payload"])
+
+
+def test_criterion_12_charpoly_dimension_10():
+    rng = random.Random(2003)
+    a = [[rng.randrange(7) for _ in range(10)] for _ in range(10)]
+    with Timer(0.05, "criterion 12: characteristic polynomial over Z_7 at dimension 10"):
+        coeffs = charpoly_mod(a, 7)
+    # Cayley-Hamilton: p(A) = 0 over Z_7
+    acc = [[0] * 10 for _ in range(10)]
+    for c in reversed(coeffs):
+        acc = mat_mul_mod(acc, a, 7)
+        acc = [[(x + c * e) % 7 for x, e in zip(row, erow)] for row, erow in zip(acc, identity(10))]
+    assert len(coeffs) == 11 and all(x == 0 for row in acc for x in row)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from smaralg import linalg, semigroup
 from smaralg.cli import main
 
 
@@ -115,6 +116,14 @@ class TestSpectral:
         assert code == 0
         assert [t["value"] for t in report["payload"]["spectral"]["terms"]] == [1, 0]
 
+    def test_self_adjoint_eigen_system_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = linalg.eigen_system
+        monkeypatch.setattr(linalg, "eigen_system", lambda a: calls.append(a) or real(a))
+        code, report = run_json(capsys, "spectral", "--matrix", json.dumps(self.MATRIX))
+        assert code == 0 and "spectral" in report["payload"]
+        assert len(calls) == 1
+
 
 class TestClassifyRoots:
     def test_indeterminate(self, capsys):
@@ -166,6 +175,20 @@ class TestSemigroupCli:
         payload = report["payload"]
         assert payload["left_right_isomorphic"]["isomorphic"]
         assert sorted(b["dimension"] for b in payload["invariant_blocks"]) == [1, 1]
+
+    def test_rep_decompose_pretty_decomposes_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t2.csv"
+        path.write_text(self.CSV)
+        calls = []
+        real = semigroup.decompose_invariants
+        monkeypatch.setattr(
+            semigroup, "decompose_invariants", lambda rep: calls.append(rep) or real(rep)
+        )
+        code, out = run(
+            capsys, "rep", "--file", str(path), "--identity", "0", "--decompose", "--pretty"
+        )
+        assert code == 0 and out.strip().endswith("invariant block dims [1, 1]")
+        assert len(calls) == 1
 
     def test_rep_missing_idempotent(self, capsys, tmp_path):
         path = tmp_path / "t2.csv"
@@ -274,6 +297,28 @@ class TestEconCli:
             capsys, "leontief", "--model", "open", "--file", str(path), "--demand", "10,10"
         )
         assert code == 0 and report["payload"]["industries"] == ["steel", "food"]
+
+    def test_values_starting_with_a_negative_entry(self, capsys):
+        code, report = run_json(
+            capsys, "markov", "--matrix", "-1/8,1/2;1/2,1/4", "--state", "-1,2"
+        )
+        assert code == 0 and report["payload"]["states"] == [["9/8", 0]]
+        code, report = run_json(
+            capsys,
+            "leontief",
+            "--model",
+            "open",
+            "--matrix",
+            "-1/8,1/2;1/2,1/4",
+            "--demand",
+            "-1,2",
+        )
+        assert code == 0 and report["payload"]["solution"] == ["8/19", "56/19"]
+
+    def test_missing_option_value_still_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["markov", "--matrix", "--state", "1,0"])
+        assert exc.value.code == 2
 
     def test_open_needs_demand(self, capsys):
         code, report = run_json(

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from smaralg.ringcore import (
-    ModulusRing,
     Subfield,
     SubfieldRejection,
     certify_subfield,
@@ -46,7 +45,7 @@ class TestFindSubfields:
         with pytest.raises(ValueError):
             find_subfields(1)
         with pytest.raises(ValueError):
-            ModulusRing(0)
+            idempotents(0)
 
 
 class TestIdempotents:
