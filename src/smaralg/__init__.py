@@ -33,7 +33,6 @@ from .polylab import (
     kernel_of_hom,
     neutrosophic_classify,
     parse_poly,
-    poly_arith,
     reducibility_report,
     roots_in,
 )
@@ -47,7 +46,6 @@ from .linalg import (
     bilinear_form_analyze,
     char_poly,
     eigen_system,
-    mat_arith,
     pseudo_inner_product,
     rref_and_nullspace,
     self_adjoint_check,

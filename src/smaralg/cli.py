@@ -3,8 +3,9 @@
 Every subcommand emits one CommandReport as JSON on stdout:
 {"status": "ok"|"error", "payload": ..., "citations": [...]}, with stable
 key order so output is byte-deterministic.  Exit codes: 0 ok, 1 domain
-error, 2 usage error.  --pretty adds a human-readable rendering instead
-of the compact JSON.
+error, 2 usage error, 3 internal error (a re-verification or other
+internal invariant failed: a bug, not a fault of the input).  --pretty
+adds a human-readable rendering instead of the compact JSON.
 """
 
 from __future__ import annotations
@@ -445,6 +446,15 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _print_error(args, reason: str, message: str) -> None:
+    report = {
+        "status": "error",
+        "payload": {"reason": reason, "message": message},
+        "citations": CITATIONS.get(args.command, []),
+    }
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -452,21 +462,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DomainError as exc:
-        report = {
-            "status": "error",
-            "payload": {"reason": exc.reason, "message": str(exc)},
-            "citations": CITATIONS.get(args.command, []),
-        }
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        _print_error(args, exc.reason, str(exc))
         return 1
-    except (ValueError, AssertionError, KeyError, OSError, json.JSONDecodeError) as exc:
-        report = {
-            "status": "error",
-            "payload": {"reason": "domain_error", "message": f"{type(exc).__name__}: {exc}"},
-            "citations": CITATIONS.get(args.command, []),
-        }
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        _print_error(args, "domain_error", f"{type(exc).__name__}: {exc}")
         return 1
+    except AssertionError as exc:
+        # Input is validated by raising ValueError or DomainError; an
+        # assertion is a re-verification of a computed result.
+        _print_error(args, "internal_error", f"{type(exc).__name__}: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -53,7 +53,11 @@ def rref_mod(a, q: int):
 def nullspace_mod(a, q: int):
     """Canonical nullspace basis: each free column set to 1 in turn."""
     rref, pivots = rref_mod(a, q)
-    cols = len(a[0]) if a else 0
+    return nullspace_from_rref(rref, pivots, len(a[0]) if a else 0, q)
+
+
+def nullspace_from_rref(rref, pivots, cols: int, q: int):
+    """The canonical nullspace basis read off a reduced echelon form."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:

@@ -122,14 +122,6 @@ def mat_mul(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
     return SubfieldMatrix(a.k, a.rows, b.cols, tuple(out))
 
 
-def mat_arith(a: SubfieldMatrix, b: SubfieldMatrix, op: str) -> SubfieldMatrix:
-    if op == "add":
-        return mat_add(a, b)
-    if op == "mul":
-        return mat_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def apply_matrix(a: SubfieldMatrix, v: SubfieldVector) -> SubfieldVector:
     _same_space(a, v)
     if a.cols != len(v.entries):
@@ -176,7 +168,7 @@ def rref_and_nullspace(a: SubfieldMatrix):
     """
     q = a.k.prime_order
     rref, pivots = gfmat.rref_mod(to_prime_matrix(a), q)
-    basis = gfmat.nullspace_mod(to_prime_matrix(a), q)
+    basis = gfmat.nullspace_from_rref(rref, pivots, a.cols, q)
     return (
         len(pivots),
         from_prime_matrix(a.k, rref),

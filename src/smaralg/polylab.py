@@ -128,14 +128,6 @@ def poly_mul(a: ModPolynomial, b: ModPolynomial) -> ModPolynomial:
     return ModPolynomial(a.n, tuple(out))
 
 
-def poly_arith(a: ModPolynomial, b: ModPolynomial, op: str) -> ModPolynomial:
-    if op == "add":
-        return poly_add(a, b)
-    if op == "mul":
-        return poly_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def roots_in(p: ModPolynomial, domain) -> list[int]:
     """All a in the domain with p(a) = 0 (mod n), ascending."""
     for a in domain:

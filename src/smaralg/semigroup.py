@@ -136,7 +136,8 @@ def _group_from_subset(table: SemigroupTable, subset) -> SubgroupRecord | None:
 
 def maximal_subgroup_at(table: SemigroupTable, e: int) -> SubgroupRecord:
     """The group of units of the local monoid eSe."""
-    assert table.mul(e, e) == e, f"{e} is not idempotent"
+    if table.mul(e, e) != e:
+        raise ValueError(f"{e} is not idempotent")
     local = sorted({table.mul(table.mul(e, s), e) for s in range(table.order)})
     units = []
     inverses = {}

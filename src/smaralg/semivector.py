@@ -2,13 +2,34 @@
 
 No subtraction exists here, so independence and spanning behave unlike
 vector spaces: independent sets can outnumber any spanning set, and an
-element can have several representations in a basis.  All searches are
-exhaustive over provably sufficient finite bounds.
+element can have several representations in a basis.
+
+Span membership and representation enumeration search the coefficient
+box of ``_coefficient_ranges`` (per generator: the allowed scalars over a
+chain, 0..min_j floor(t_j / g_ij) over the nonnegative integers), which
+provably holds every solution; ``searched_domain_sizes`` reports the
+sizes of that box.  The box is walked in lexicographic order, so the
+first solution and the order of the enumeration are those of the full
+scan, but a prefix is entered only when it can still be completed:
+
+- over a chain lattice by Sanchez's residuation bound (1976; see also
+  Cuninghame-Green, *Minimax Algebra*): coefficient i never exceeds
+  min{t_j : g_ij > t_j}, and a prefix completes exactly when it,
+  combined with every later generator at the largest allowed scalar
+  under that bound, gives the target.  That test costs O(k*d), so a
+  non-member is decided before any coefficient is tried;
+- over the nonnegative integers by reachability of the residual target
+  t - (prefix combination), which must stay >= 0 (when the scalars are)
+  and within what the later generators can cover; the residuals the last
+  generators can cover are tabulated exactly, and a (generator index,
+  residual) state whose subtree held no solution is remembered for the
+  rest of the call and never entered again.
+
+Every returned coefficient tuple is re-verified with ``combine``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -146,28 +167,183 @@ class SpanResult:
         }
 
 
+def _chain_bounds(sf, target, generators, ranges):
+    """(candidates, completes) for the search over a chain lattice, from
+    Sanchez's residuation bound.
+
+    candidates(i): the scalars of ranges[i], in order, that are at most
+    min{t_j : g_ij > t_j} (the top when no such j); any larger one
+    overshoots the target.  suffix[i]: the combination of generators
+    i..k-1, each at the largest of its candidates, or None where some
+    generator from i on has none.  combine is monotone, so suffix[i] is
+    the largest combination those generators can add without
+    overshooting, and a prefix combination completes exactly when its
+    join with suffix[i] is the target.
+    """
+    t = target.entries
+    allowed = []
+    for g, r in zip(generators, ranges):
+        bound = min((tj for tj, x in zip(t, g.entries) if x > tj), default=sf.one)
+        allowed.append([c for c in r if c <= bound])
+    acc = (sf.zero,) * len(t)
+    suffix = [None] * len(generators) + [acc]
+    for i in range(len(generators) - 1, -1, -1):
+        if not allowed[i]:
+            break
+        top = max(allowed[i])
+        acc = tuple(max(a, min(top, x)) for a, x in zip(acc, generators[i].entries))
+        suffix[i] = acc
+
+    def candidates(i, acc):
+        return allowed[i]
+
+    def completes(i, acc):
+        return suffix[i] is not None and tuple(map(max, acc, suffix[i])) == t
+
+    return candidates, completes
+
+
+# Most tuples built for the exact residual sets of the last generators.
+_EXACT_SET_WORK = 1024
+
+
+def _nonneg_bounds(target, generators, ranges):
+    """(candidates, completes) for the residual search over the
+    nonnegative integers with nonnegative scalars.
+
+    Every term is >= 0, so no coefficient may take the residual below 0,
+    and generators i..k-1 cover at most reach[i] in each coordinate.
+    exact[i] holds every residual generators i..k-1 cover, built from the
+    last generator up while that stays under _EXACT_SET_WORK tuples: the
+    deepest levels hold most of the search states.
+    """
+    t = target.entries
+    k = len(generators)
+    reach = [(0,) * len(t)]
+    for g, r in zip(reversed(generators), reversed(ranges)):
+        top = max(r, default=0)
+        reach.append(tuple(m + top * x for m, x in zip(reach[-1], g.entries)))
+    reach.reverse()
+    exact = {k: {reach[k]}}
+    i = k - 1
+    while i >= 0 and len(exact[i + 1]) * len(ranges[i]) <= _EXACT_SET_WORK:
+        g = generators[i].entries
+        sums = (
+            tuple(b + c * x for b, x in zip(base, g))
+            for base in exact[i + 1]
+            for c in ranges[i]
+        )
+        exact[i] = {v for v in sums if all(x <= y for x, y in zip(v, t))}
+        i -= 1
+
+    def candidates(i, residual):
+        cap = min(
+            (r // x for r, x in zip(residual, generators[i].entries) if x), default=None
+        )
+        return ranges[i] if cap is None else [c for c in ranges[i] if c <= cap]
+
+    def completes(i, residual):
+        if i in exact:
+            return residual in exact[i]
+        return all(r <= m for r, m in zip(residual, reach[i]))
+
+    return candidates, completes
+
+
+_EXHAUSTED = object()
+
+
+def _solutions(sf, target, generators, ranges):
+    """The coefficient tuples of itertools.product(*ranges) that combine
+    to the target, in that order, skipping every prefix that cannot be
+    completed.  Each one is re-verified with ``combine`` before it is
+    yielded.  The search state is the combination so far (chain lattice)
+    or the residual target (nonnegative integers).
+    """
+    t = target.entries
+    k = len(generators)
+    if isinstance(sf, ChainLattice):
+        start = (sf.zero,) * len(t)
+
+        def step(acc, g, c):
+            return tuple(max(a, min(c, x)) for a, x in zip(acc, g.entries))
+
+        candidates, completes = _chain_bounds(sf, target, generators, ranges)
+    else:
+        start = t
+
+        def step(residual, g, c):
+            return tuple(r - c * x for r, x in zip(residual, g.entries))
+
+        if all(c >= 0 for r in ranges for c in r):
+            candidates, completes = _nonneg_bounds(target, generators, ranges)
+        else:
+            # explicit negative scalars: no sign bound, only the memo of
+            # dead states below
+
+            def candidates(i, residual):
+                return ranges[i]
+
+            def completes(i, residual):
+                return i < k or not any(residual)
+
+    if not completes(0, start):
+        return
+    if k == 0:
+        if combine(sf, (), generators) == t:
+            yield ()
+        return
+    dead = set()  # (level, state) pairs whose subtree held no solution
+    prefix, states, fruitful = [], [start], [False]
+    choices = [iter(candidates(0, start))]
+    while choices:
+        i = len(choices) - 1
+        c = next(choices[i], _EXHAUSTED)
+        if c is _EXHAUSTED:
+            choices.pop()
+            state = states.pop()
+            if fruitful.pop():
+                if fruitful:
+                    fruitful[-1] = True
+            else:
+                dead.add((i, state))
+            if prefix:
+                prefix.pop()
+            continue
+        state = step(states[i], generators[i], c)
+        if (i + 1, state) in dead or not completes(i + 1, state):
+            continue
+        if i + 1 == k:
+            coeffs = (*prefix, c)
+            if combine(sf, coeffs, generators) == t:
+                fruitful[i] = True
+                yield coeffs
+        else:
+            prefix.append(c)
+            states.append(state)
+            choices.append(iter(candidates(i + 1, state)))
+            fruitful.append(False)
+
+
 def span_membership(target: SemivectorTuple, generators, scalars=None) -> SpanResult:
-    """Exhaustive combination search with sound per-generator bounds.
+    """The lexicographically first coefficient tuple in the bounded box
+    that combines to the target, if any.
 
     Over the nonnegative integers a coefficient beyond floor(t_j / g_ij)
-    overshoots coordinate j (all terms are nonnegative), so the searched
-    box contains every solution; over a chain lattice the scalar carrier
-    is finite and searched outright.
+    overshoots coordinate j (all terms are nonnegative), so the box
+    contains every solution; over a chain lattice the box is the scalar
+    carrier (or the given scalars) for every generator.
     """
     sf, _ = _check_family([target] + list(generators))
     if not generators:
         found = target.is_zero()
         return SpanResult(member=found, coefficients=() if found else None, searched=())
     ranges = _coefficient_ranges(target, generators, scalars)
-    for coeffs in itertools.product(*ranges):
-        if combine(sf, coeffs, generators) == target.entries:
-            return SpanResult(
-                member=True,
-                coefficients=tuple(coeffs),
-                searched=tuple(len(r) for r in ranges),
-            )
+    coeffs = next(_solutions(sf, target, generators, ranges), None)
     return SpanResult(
-        member=False, coefficients=None, searched=tuple(len(r) for r in ranges)
+        member=coeffs is not None,
+        coefficients=coeffs,
+        searched=tuple(len(r) for r in ranges),
     )
 
 
@@ -265,11 +441,7 @@ def enumerate_representations(target: SemivectorTuple, basis, scalars=None) -> l
     lexicographic order over the scalar domains."""
     sf, _ = _check_family([target] + list(basis))
     ranges = _coefficient_ranges(target, basis, scalars)
-    out = []
-    for coeffs in itertools.product(*ranges):
-        if combine(sf, coeffs, basis) == target.entries:
-            out.append(tuple(coeffs))
-    return out
+    return list(_solutions(sf, target, basis, ranges))
 
 
 @dataclass(frozen=True)

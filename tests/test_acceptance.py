@@ -6,6 +6,7 @@ as a checklist under `pytest -v -s tests/test_acceptance.py`.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -384,3 +385,32 @@ def test_criterion_12_charpoly_dimension_10():
         acc = mat_mul_mod(acc, a, 7)
         acc = [[(x + c * e) % 7 for x, e in zip(row, erow)] for row, erow in zip(acc, identity(10))]
     assert len(coeffs) == 11 and all(x == 0 for row in acc for x in row)
+
+
+def test_criterion_13_semivector_pruned_search():
+    from test_semivector import overshoot_search
+
+    # C_8, 7 generators of length 4: a box of 8^7 = 2,097,152 tuples
+    c8 = ChainLattice(8)
+    gens = [
+        SemivectorTuple(c8, g)
+        for g in [(0, 2, 3, 5), (2, 5, 6, 3), (4, 1, 6, 5), (7, 3, 1, 0),
+                  (1, 2, 2, 2), (3, 4, 5, 4), (5, 5, 5, 1)]
+    ]
+    target = SemivectorTuple(c8, (4, 3, 7, 2))
+    with Timer(0.01, "criterion 13: C_8 span non-member, 7 generators"):
+        result = span_membership(target, gens)
+    assert not result.member and result.searched == (8,) * 7
+    assert not overshoot_search(target, gens)
+
+    # nonnegative integers, 6 generators of length 3: a box of 1,533,312 tuples
+    nn = NonNegIntegers()
+    gens = [
+        SemivectorTuple(nn, g)
+        for g in [(1, 1, 1), (1, 1, 2), (3, 1, 2), (4, 4, 1), (2, 2, 1), (2, 2, 2)]
+    ]
+    target = SemivectorTuple(nn, (22, 21, 23))
+    with Timer(0.1, "criterion 13: nonnegative-integer span non-member, 6 generators"):
+        result = span_membership(target, gens)
+    assert not result.member and math.prod(result.searched) == 1_533_312
+    assert not overshoot_search(target, gens)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smaralg import linalg, semigroup
+from smaralg import gfmat, linalg, semigroup
 from smaralg.cli import main
 
 
@@ -123,6 +123,14 @@ class TestSpectral:
         code, report = run_json(capsys, "spectral", "--matrix", json.dumps(self.MATRIX))
         assert code == 0 and "spectral" in report["payload"]
         assert len(calls) == 1
+
+    def test_failed_reverification_is_internal_error(self, capsys, monkeypatch):
+        # a wrong eigenspace basis must trip the eigenpair re-verification
+        monkeypatch.setattr(gfmat, "nullspace_mod", lambda a, q: [[1] + [0] * (len(a) - 1)])
+        code, report = run_json(capsys, "spectral", "--matrix", json.dumps(self.MATRIX))
+        assert code == 3 and report["status"] == "error"
+        assert report["payload"]["reason"] == "internal_error"
+        assert "eigenpair re-verification failed" in report["payload"]["message"]
 
 
 class TestClassifyRoots:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from smaralg import linalg
+from smaralg import gfmat, linalg
 from smaralg.linalg import (
     SpectralDecomposition,
     SpectralDiagnostic,
@@ -15,7 +15,7 @@ from smaralg.linalg import (
     char_poly_substitute,
     eigen_system,
     identity_matrix,
-    mat_arith,
+    mat_add,
     mat_mul,
     pseudo_inner_product,
     rref_and_nullspace,
@@ -64,7 +64,7 @@ class TestArithmetic:
     def test_identity_law(self):
         a = z6_matrix()
         i_e = identity_matrix(K024, 3)
-        assert mat_arith(i_e, a, "mul").entries == a.entries
+        assert mat_mul(i_e, a).entries == a.entries
 
     def test_eigen_action_of_paper_vector(self):
         a = z6_matrix()
@@ -84,9 +84,9 @@ class TestArithmetic:
 
     def test_mismatches(self):
         with pytest.raises(ValueError):
-            mat_arith(z6_matrix(), z3_matrix(), "add")
+            mat_add(z6_matrix(), z3_matrix())
         with pytest.raises(ValueError):
-            mat_arith(z6_matrix(), SubfieldMatrix(K024, 1, 1, (2,)), "mul")
+            mat_mul(z6_matrix(), SubfieldMatrix(K024, 1, 1, (2,)))
 
 
 class TestPrimeTransport:
@@ -131,6 +131,30 @@ class TestRref:
                 assert rank + len(basis) == 3
                 for v in basis:
                     assert apply_matrix(m, v).entries == (0, 0, 0)
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        real = gfmat.rref_mod
+        calls = []
+
+        def counting(a, q):
+            calls.append(q)
+            return real(a, q)
+
+        rng = random.Random(4)
+        for k in (K03, K024, K0510):
+            for _ in range(10):
+                m = random_matrix(rng, k, 4)
+                q = k.prime_order
+                want = [
+                    tuple(k.from_prime(x) for x in v)
+                    for v in gfmat.nullspace_mod(to_prime_matrix(m), q)
+                ]
+                monkeypatch.setattr(gfmat, "rref_mod", counting)
+                calls.clear()
+                rank, _, basis = rref_and_nullspace(m)
+                monkeypatch.setattr(gfmat, "rref_mod", real)
+                assert calls == [q]
+                assert [v.entries for v in basis] == want and rank + len(want) == 4
 
 
 class TestCharPoly:

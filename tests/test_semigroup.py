@@ -12,6 +12,7 @@ from smaralg.semigroup import (
     find_subgroups,
     left_right_intertwiner,
     make_representation,
+    maximal_subgroup_at,
     permutation_representation,
     projection_onto,
     regular_representation,
@@ -41,6 +42,10 @@ class TestValidation:
 
 
 class TestSubgroups:
+    def test_non_idempotent_rejected(self, z3_table):
+        with pytest.raises(ValueError, match="not idempotent"):
+            maximal_subgroup_at(z3_table, 1)
+
     def test_t2_maximal(self, t2_table):
         subs = find_subgroups(t2_table)
         assert [(s.identity, s.elements) for s in subs] == [

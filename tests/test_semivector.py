@@ -1,11 +1,19 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smaralg import semivector
 from smaralg.semivector import (
     ChainLattice,
     NonNegIntegers,
     SemivectorTuple,
+    SpanResult,
+    _check_family,
+    _coefficient_ranges,
     chain_tables,
     combine,
     enumerate_representations,
@@ -57,6 +65,168 @@ class TestSpanMembership:
     def test_mixed_semifields_rejected(self):
         with pytest.raises(ValueError):
             span_membership(nn(1), [SemivectorTuple(ChainLattice(3), (1,))])
+
+
+# --- reference searches ------------------------------------------------------
+#
+# Exhaustive scans of the whole coefficient box: every tuple of
+# itertools.product over the domains of _coefficient_ranges, filtered by
+# combine.  The pruned search must return exactly what they return.
+
+
+def product_span(target, generators, scalars=None):
+    sf, _ = _check_family([target] + list(generators))
+    if not generators:
+        found = target.is_zero()
+        return SpanResult(member=found, coefficients=() if found else None, searched=())
+    ranges = _coefficient_ranges(target, generators, scalars)
+    searched = tuple(len(r) for r in ranges)
+    for coeffs in itertools.product(*ranges):
+        if combine(sf, coeffs, generators) == target.entries:
+            return SpanResult(member=True, coefficients=coeffs, searched=searched)
+    return SpanResult(member=False, coefficients=None, searched=searched)
+
+
+def product_enumerate(target, basis, scalars=None):
+    sf, _ = _check_family([target] + list(basis))
+    ranges = _coefficient_ranges(target, basis, scalars)
+    return [
+        coeffs
+        for coeffs in itertools.product(*ranges)
+        if combine(sf, coeffs, basis) == target.entries
+    ]
+
+
+def product_independence(vectors, scalars=None):
+    with mock.patch.object(semivector, "span_membership", product_span):
+        return independence_check(vectors, scalars)
+
+
+def product_spans(generators, space, scalars=None):
+    with mock.patch.object(semivector, "span_membership", product_span):
+        return spans_space(generators, space, scalars)
+
+
+def overshoot_search(target, generators, scalars=None) -> bool:
+    """Membership by depth-first search of the coefficient box that drops a
+    prefix only once its combination exceeds the target somewhere (every
+    term is >= 0 and combining only grows, over both semifields).  No
+    residuation bound and no reachability memo; cheap enough for boxes of
+    a few million tuples whose prefixes overshoot early."""
+    sf = target.semifield
+    ranges = _coefficient_ranges(target, generators, scalars)
+    t = target.entries
+
+    def rec(i, acc):
+        if i == len(generators):
+            return acc == t
+        for c in ranges[i]:
+            nxt = tuple(sf.add(a, sf.mul(c, x)) for a, x in zip(acc, generators[i].entries))
+            if all(a <= b for a, b in zip(nxt, t)) and rec(i + 1, nxt):
+                return True
+        return False
+
+    return rec(0, (sf.zero,) * len(t))
+
+
+def outcome(fn, *args):
+    """The JSON form of a result, or the type and message of its error."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return result if isinstance(result, list) else result.to_json()
+
+
+@st.composite
+def problems(draw):
+    """(generators, target, scalars) over C_2..C_6 or the nonnegative
+    integers: zero and duplicate generators, tuple lengths 0-3, and
+    scalars that are absent, unsorted, repeated, negative or outside the
+    chain's carrier."""
+    if draw(st.booleans()):
+        sf = ChainLattice(draw(st.integers(2, 6)))
+        entry = target_entry = st.integers(0, sf.size - 1)
+        top = sf.size - 1
+    else:
+        sf, entry, target_entry, top = NN, st.integers(0, 4), st.integers(0, 8), 4
+    d = draw(st.integers(0, 3))
+    tuples = st.lists(entry, min_size=d, max_size=d).map(lambda e: SemivectorTuple(sf, e))
+    generators = draw(st.lists(tuples, max_size=4))
+    target = SemivectorTuple(sf, draw(st.lists(target_entry, min_size=d, max_size=d)))
+    scalars = draw(st.none() | st.lists(st.integers(-1, top + 1), max_size=4))
+    return generators, target, scalars
+
+
+FIXED_PROBLEMS = [
+    # unsorted and duplicate scalars over C_4 (the paper's basis a, b, 1)
+    ([(2,), (1,), (3,)], (3,), [3, 0, 3], 4),
+    ([(2,), (1,), (3,)], (2,), [3, 0], 4),
+    # zero generators with explicit scalars over the integers
+    ([(0, 0), (1, 1), (0, 0)], (2, 2), [2, 0, 1, 1], None),
+    # an empty generator list, zero and nonzero target
+    ([], (0, 0), None, None),
+    ([], (1,), [0, 1], 5),
+    # negative scalars over the integers
+    ([(1,), (2,)], (1,), [1, -1, 0], None),
+    # a scalar outside the chain's carrier
+    ([(2,), (1,)], (3,), [0, 7], 4),
+]
+
+
+def fixed_problem(gens, target, scalars, chain):
+    sf = ChainLattice(chain) if chain else NN
+    return [SemivectorTuple(sf, g) for g in gens], SemivectorTuple(sf, target), scalars
+
+
+def spaces(generators, target):
+    d = len(target.entries)
+    return [d, "carrier", [target.entries], [target.entries] + [g.entries for g in generators]]
+
+
+def assert_matches_oracles(generators, target, scalars):
+    assert outcome(span_membership, target, generators, scalars) == outcome(
+        product_span, target, generators, scalars
+    )
+    assert outcome(enumerate_representations, target, generators, scalars) == outcome(
+        product_enumerate, target, generators, scalars
+    )
+    vectors = generators + [target]
+    assert outcome(independence_check, vectors, scalars) == outcome(
+        product_independence, vectors, scalars
+    )
+    assert outcome(independence_check, generators, scalars) == outcome(
+        product_independence, generators, scalars
+    )
+    for space in spaces(generators, target):
+        assert outcome(spans_space, generators, space, scalars) == outcome(
+            product_spans, generators, space, scalars
+        )
+
+
+@pytest.mark.parametrize("case", FIXED_PROBLEMS)
+def test_pruned_search_matches_product_oracle_fixed(case):
+    assert_matches_oracles(*fixed_problem(*case))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_pruned_search_matches_product_oracle(problem):
+    assert_matches_oracles(*problem)
+
+
+def test_overshoot_oracle_agrees_with_product_oracle():
+    rng = random.Random(13)
+    for _ in range(200):
+        sf = rng.choice([NN, ChainLattice(3), ChainLattice(5)])
+        top = 4 if sf is NN else sf.size - 1
+        d = rng.randint(1, 3)
+        gens = [
+            SemivectorTuple(sf, tuple(rng.randint(1 if sf is NN else 0, top) for _ in range(d)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        target = SemivectorTuple(sf, tuple(rng.randint(0, 8 if sf is NN else top) for _ in range(d)))
+        assert overshoot_search(target, gens) == product_span(target, gens).member
 
 
 def capped_unbounded_search(target, gens, cap=50):
