@@ -17,7 +17,6 @@ from .ringcore import (
     find_subfields,
     idempotents,
     subfield_from_elements,
-    subfield_oracle,
 )
 from .polylab import (
     FermatFamily,

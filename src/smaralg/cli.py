@@ -11,6 +11,7 @@ adds a human-readable rendering instead of the compact JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -79,11 +80,24 @@ def _matrix_from_args(args) -> ratmat.Matrix:
     raise DomainError("missing_input", "provide --matrix or --file")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _subfield_matrix_from_args(args) -> linalg.SubfieldMatrix:
     if args.file:
         data = _load_json(args.file)
     else:
         data = json.loads(args.matrix)
+    if not isinstance(data, dict):
+        raise ValueError("matrix JSON must be an object with n, subfield, rows, cols and entries")
+    for key in ("n", "subfield", "rows", "cols", "entries"):
+        value = data[key]
+        if key in ("subfield", "entries"):
+            if not isinstance(value, list) or not all(map(_is_int, value)):
+                raise ValueError(f"{key} must be a list of integers")
+        elif not _is_int(value):
+            raise ValueError(f"{key} must be an integer")
     k = ringcore.subfield_from_elements(data["n"], data["subfield"])
     return linalg.SubfieldMatrix(
         k=k, rows=data["rows"], cols=data["cols"], entries=tuple(data["entries"])
@@ -199,9 +213,10 @@ def cmd_rep(args):
         other = semigroup.regular_representation(
             record, Side.RIGHT if side is Side.LEFT else Side.LEFT
         )
+        left, right = (rep, other) if side is Side.LEFT else (other, rep)
         payload["left_right_isomorphic"] = semigroup.rep_isomorphic(rep, other).to_json()
         payload["inversion_intertwiner"] = ratmat.matrix_to_json(
-            semigroup.left_right_intertwiner(record)
+            semigroup.left_right_intertwiner(left, right)
         )
     if args.decompose:
         blocks = semigroup.decompose_invariants(rep)
@@ -340,7 +355,9 @@ def cmd_golden(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="smaralg",
         description="Workbench for Smarandache algebraic structures over Z_n, "

@@ -1,15 +1,11 @@
-"""Exact matrix routines over prime fields Z_q.
+"""Matrix and polynomial routines over prime fields Z_q.
 
-Matrices are lists of row lists of ints.  Everything is deterministic:
-echelon forms use the first nonzero pivot, nullspace bases set free
-variables to 1 one at a time in ascending column order.
+Matrices are lists of row lists of ints, polynomials ascending
+coefficient lists.  Elimination (rref, nullspace, inverse) is the
+field-generic kernel in ratmat, run over ratmat.prime_field(q).
 """
 
 from __future__ import annotations
-
-
-def identity(dim: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
 
 
 def mat_mul_mod(a, b, q: int):
@@ -23,60 +19,6 @@ def mat_mul_mod(a, b, q: int):
             for j in range(cols):
                 out[i][j] = (out[i][j] + aik * b[k][j]) % q
     return out
-
-
-def rref_mod(a, q: int):
-    """Reduced row echelon form mod prime q; returns (rref, pivot columns)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] % q != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % q != 0:
-                factor = m[i][c] % q
-                m[i] = [(x - factor * y) % q for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def nullspace_mod(a, q: int):
-    """Canonical nullspace basis: each free column set to 1 in turn."""
-    rref, pivots = rref_mod(a, q)
-    return nullspace_from_rref(rref, pivots, len(a[0]) if a else 0, q)
-
-
-def nullspace_from_rref(rref, pivots, cols: int, q: int):
-    """The canonical nullspace basis read off a reduced echelon form."""
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-rref[r][f]) % q
-        basis.append(v)
-    return basis
-
-
-def inverse_mod(a, q: int):
-    """Inverse mod prime q, or None when singular."""
-    dim = len(a)
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(dim))]
-    rref, pivots = rref_mod(aug, q)
-    if pivots[:dim] != list(range(dim)):
-        return None
-    return [row[dim:] for row in rref]
 
 
 def charpoly_mod(a, q: int) -> list[int]:

@@ -210,7 +210,7 @@ def check_left_right_isomorphic():
     assert z3.order == 3
     left = semigroup.regular_representation(z3, Side.LEFT)
     right = semigroup.regular_representation(z3, Side.RIGHT)
-    t = semigroup.left_right_intertwiner(z3)
+    t = semigroup.left_right_intertwiner(left, right)
     for x in z3.elements:
         assert ratmat.mat_mul(t, right.matrix(x)) == ratmat.mat_mul(left.matrix(x), t)
     assert semigroup.rep_isomorphic(left, right).isomorphic

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gfmat
+from . import gfmat, ratmat
 from .polylab import ModPolynomial
 from .ringcore import Subfield
 
@@ -166,9 +166,9 @@ def rref_and_nullspace(a: SubfieldMatrix):
     Work happens in Z_q; free variables take the value 1 there (the
     subfield identity after mapping back), one at a time ascending.
     """
-    q = a.k.prime_order
-    rref, pivots = gfmat.rref_mod(to_prime_matrix(a), q)
-    basis = gfmat.nullspace_from_rref(rref, pivots, a.cols, q)
+    field = ratmat.prime_field(a.k.prime_order)
+    rref, pivots = ratmat.rref(to_prime_matrix(a), field)
+    basis = ratmat.nullspace_from_rref(rref, pivots, a.cols, field)
     return (
         len(pivots),
         from_prime_matrix(a.k, rref),
@@ -267,6 +267,7 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     q, n, dim = k.prime_order, k.n, a.rows
     cp = char_poly(a)
     prime = to_prime_matrix(a)
+    field = ratmat.prime_field(q)
     s_values = []
     for r in range(q - 1, -1, -1):
         if gfmat.poly_eval_mod(cp.prime_coeffs, r, q) != 0:
@@ -276,9 +277,7 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
             [(prime[i][j] - (r if i == j else 0)) % q for j in range(dim)]
             for i in range(dim)
         ]
-        basis = tuple(
-            from_prime_vector(k, v) for v in gfmat.nullspace_mod(shifted, q)
-        )
+        basis = tuple(from_prime_vector(k, v) for v in ratmat.nullspace(shifted, field))
         c = k.from_prime(r)
         for v in basis:
             got = apply_matrix(a, v).entries
@@ -405,7 +404,7 @@ def _spectral_from_eigen(es: EigenSystem):
         for v in ev.basis:
             columns.append([k.to_prime(x) for x in v.entries])
     basis_mat = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-    inv = gfmat.inverse_mod(basis_mat, q)
+    inv = ratmat.inverse(basis_mat, ratmat.prime_field(q))
     assert inv is not None, "eigenbasis must be invertible when diagonalizable"
 
     terms = []

@@ -1,13 +1,18 @@
-"""Exact rational linear algebra on plain tuples of Fractions.
+"""Exact linear algebra: the one Gauss-Jordan kernel, over Q or Z_q.
 
-Shared by the representation and economic-model modules.  Matrices are
-tuples of row tuples; everything returns canonical forms so results are
-byte-stable across runs.
+rref, rank, nullspace, inverse and solve take a Field (Q by default,
+prime_field(q) for Z_q); echelon forms use the first nonzero pivot and
+nullspace bases set free variables to one in ascending column order.
+The rest is rational matrix arithmetic on tuples of row tuples of
+Fractions, shared by the representation and economic-model modules.
+Everything returns canonical forms, so results are byte-stable.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -62,9 +67,31 @@ def mat_vec(a: Matrix, v) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
-    work = [list(row) for row in m]
+class Field(NamedTuple):
+    """A field as the elimination kernel sees it: its zero and one, the
+    inverse of a nonzero element, and the map that brings a row back to
+    canonical representatives after arithmetic on it."""
+
+    zero: object
+    one: object
+    inverse: Callable
+    reduce: Callable
+
+
+Q = Field(Fraction(0), Fraction(1), lambda x: 1 / Fraction(x), lambda row: row)
+
+
+@functools.cache
+def prime_field(q: int) -> Field:
+    """Z_q for a prime q, on the residues 0..q-1."""
+    return Field(0, 1, lambda x: pow(x, -1, q), lambda row: [x % q for x in row])
+
+
+def rref(m, field: Field = Q):
+    """Gauss-Jordan elimination over field: the first nonzero entry of a
+    column is its pivot.  Returns (reduced rows as lists, pivot columns)."""
+    reduce = field.reduce
+    work = [reduce(list(row)) for row in m]
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots = []
@@ -74,12 +101,12 @@ def rref(m: Matrix):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
+        inv = field.inverse(work[r][c])
+        pivot_row = work[r] = reduce([x * inv for x in work[r]])
         for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = reduce([x - f * y for x, y in zip(work[i], pivot_row)])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -87,75 +114,71 @@ def rref(m: Matrix):
     return work, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+def rank(m, field: Field = Q) -> int:
+    return len(rref(m, field)[1])
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    """Canonical basis: each free column set to 1 in ascending order."""
-    reduced, pivots = rref(m)
-    cols = len(m[0]) if m else 0
-    free = [c for c in range(cols) if c not in pivots]
+def nullspace(m, field: Field = Q) -> list[Vector]:
+    """Canonical basis: each free column set to one in ascending order."""
+    reduced, pivots = rref(m, field)
+    return nullspace_from_rref(reduced, pivots, len(m[0]) if m else 0, field)
+
+
+def nullspace_from_rref(reduced, pivots, cols: int, field: Field = Q) -> list[Vector]:
+    """The canonical nullspace basis read off a reduced echelon form."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[f] = field.one
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
-        basis.append(tuple(v))
+        basis.append(tuple(field.reduce(v)))
     return basis
 
 
-def inverse(m: Matrix):
+def inverse(m, field: Field = Q):
     """Exact inverse or None when singular."""
     dim = len(m)
-    aug = mat([list(row) + list(irow) for row, irow in zip(m, identity(dim))])
-    reduced, pivots = rref(aug)
+    ident = [[field.one if i == j else field.zero for j in range(dim)] for i in range(dim)]
+    reduced, pivots = rref([list(row) + irow for row, irow in zip(m, ident)], field)
     if pivots[:dim] != list(range(dim)):
         return None
     return tuple(tuple(row[dim:]) for row in reduced)
 
 
-def det(m: Matrix) -> Fraction:
-    work = [list(row) for row in m]
-    dim = len(work)
-    result = Fraction(1)
-    for c in range(dim):
-        pivot = next((i for i in range(c, dim) if work[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = work[c][c]
-        for i in range(c + 1, dim):
-            if work[i][c] != 0:
-                f = work[i][c] / inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+def solve(a, bs, field: Field = Q) -> list[Vector | None]:
+    """One particular solution of A x = b for each right-hand side b in
+    bs (free variables zero), or None where b is inconsistent; one
+    elimination of [A | B] for all of them.
 
-
-def solve(a: Matrix, b) -> Vector | None:
-    """One particular solution of A x = b, or None when inconsistent."""
-    b = vec(b)
+    Every row past the rank of A has a zero A-part, so b is consistent
+    iff those rows vanish in b's column.  A pivot that an inconsistent
+    column gains is such a row, and it is zero in every consistent
+    column, so each answer is the one a single-column solve gives.
+    """
     cols = len(a[0]) if a else 0
-    aug = mat([list(row) + [bi] for row, bi in zip(a, b)])
-    reduced, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][cols]
-    return tuple(x)
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a)]
+    reduced, pivots = rref(aug, field)
+    a_pivots = [c for c in pivots if c < cols]
+    rest = reduced[len(a_pivots):]
+    out = []
+    for j in range(cols, cols + len(bs)):
+        if any(row[j] != 0 for row in rest):
+            out.append(None)
+            continue
+        x = [field.zero] * cols
+        for r, c in enumerate(a_pivots):
+            x[c] = reduced[r][j]
+        out.append(tuple(x))
+    return out
 
 
-def solve_in_span(basis: list[Vector], target) -> Vector | None:
-    """Coordinates of target in span(basis), or None."""
-    if not basis:
-        return () if all(x == 0 for x in vec(target)) else None
-    columns = mat([[b[i] for b in basis] for i in range(len(basis[0]))])
-    return solve(columns, target)
+def solve_in_span(basis: list[Vector], targets) -> list[Vector | None]:
+    """Coordinates of each target in span(basis), or None where a target
+    lies outside it."""
+    targets = [vec(t) for t in targets]
+    dim = len(targets[0]) if targets else 0
+    return solve([[b[i] for b in basis] for i in range(dim)], targets)
 
 
 def min_poly(m: Matrix) -> list[Fraction]:
@@ -165,7 +188,7 @@ def min_poly(m: Matrix) -> list[Fraction]:
     power = identity(dim)
     while True:
         flat = tuple(x for row in power for x in row)
-        coords = solve_in_span(flats, flat) if flats else None
+        coords = solve_in_span(flats, [flat])[0] if flats else None
         if flats and coords is not None:
             return [-c for c in coords] + [Fraction(1)]
         flats.append(flat)

@@ -195,27 +195,8 @@ def subfield_from_elements(n: int, elements) -> Subfield:
     proper subset, the whole-field carrier when all of a prime Z_p is
     named (certify_subfield would reject that as not proper)."""
     elems = sorted(set(elements))
+    if elems and (elems[0] < 0 or elems[-1] >= n):
+        raise ValueError(f"elements must be residues in [0, {n})")
     if len(elems) == n and _is_prime(n):
         return Subfield.whole_prime(n)
     return certify_subfield(n, elems)
-
-
-def subfield_oracle(n: int) -> list[Subfield]:
-    """Independent brute-force route: certify d·Z_n for every divisor d.
-
-    Same contract as find_subfields; restricted to n <= 64 because it is
-    meant for cross-checking in tests.
-    """
-    _check_modulus(n)
-    if n > 64:
-        raise ValueError("subfield_oracle is limited to n <= 64")
-    found = []
-    for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        candidate = sorted({(k * d) % n for k in range(n // d)})
-        try:
-            found.append(certify_subfield(n, candidate))
-        except (SubfieldRejection, ValueError):
-            continue
-    return sorted(found, key=lambda s: s.prime_order)

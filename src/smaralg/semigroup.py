@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -285,11 +286,13 @@ def trivial_representation(subgroup: SubgroupRecord) -> Representation:
     return make_representation(subgroup, {x: one for x in subgroup.elements})
 
 
-def left_right_intertwiner(subgroup: SubgroupRecord) -> Matrix:
-    """T with T(indicator at a) = indicator at a^-1; satisfies
-    T . R_x = L_x . T for every x (asserted), so L and R are isomorphic."""
-    left = regular_representation(subgroup, Side.LEFT)
-    right = regular_representation(subgroup, Side.RIGHT)
+def left_right_intertwiner(left: Representation, right: Representation) -> Matrix:
+    """T with T(indicator at a) = indicator at a^-1, for the left and right
+    regular representations of one subgroup; satisfies T . R_x = L_x . T
+    for every x (asserted), so L and R are isomorphic."""
+    subgroup = left.subgroup
+    if subgroup != right.subgroup:
+        raise ValueError("the representations are over different subgroups")
     elems = subgroup.elements
     index = {w: i for i, w in enumerate(elems)}
     h = len(elems)
@@ -297,7 +300,7 @@ def left_right_intertwiner(subgroup: SubgroupRecord) -> Matrix:
     for a in elems:
         t[index[subgroup.inverse(a)]][index[a]] = Fraction(1)
     t = tuple(tuple(row) for row in t)
-    assert ratmat.inverse(t) is not None, "intertwiner must be invertible"
+    assert ratmat.rank(t) == h, "intertwiner must be invertible"
     for x in elems:
         lhs = ratmat.mat_mul(t, right.matrix(x))
         rhs = ratmat.mat_mul(left.matrix(x), t)
@@ -306,30 +309,23 @@ def left_right_intertwiner(subgroup: SubgroupRecord) -> Matrix:
 
 
 def projection_onto(w_basis: list[Vector], dim: int) -> Matrix:
-    """Some projection with range span(w_basis): extend the basis with
-    standard vectors, project along the extension."""
-    cols = [list(w) for w in w_basis]
-    chosen = list(w_basis)
-    for j in range(dim):
-        candidate = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        stacked = chosen + [candidate]
-        if ratmat.rank(ratmat.mat(stacked)) == len(stacked):
-            chosen.append(candidate)
-        if len(chosen) == dim:
-            break
-    assert len(chosen) == dim, "could not extend the basis"
-    b = ratmat.mat([[chosen[j][i] for j in range(dim)] for i in range(dim)])
-    b_inv = ratmat.inverse(b)
-    assert b_inv is not None
+    """Some projection with range span(w_basis): extend the basis greedily
+    with standard vectors, project along the extension.
+
+    One rref of [W | I] gives both.  Its pivot columns past W are the
+    greedy extension; its rows reduce the chosen columns B to I, so its
+    last dim columns are B^-1, and P = B diag(1, ..., 1, 0, ..., 0) B^-1
+    is W times the first k rows of B^-1.
+    """
     k = len(w_basis)
-    selector = ratmat.mat(
-        [[1 if (i == j and i < k) else 0 for j in range(dim)] for i in range(dim)]
+    aug = [[w[i] for w in w_basis] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    reduced, pivots = ratmat.rref(ratmat.mat(aug))
+    assert pivots[:k] == list(range(k)), "could not extend the basis"
+    top = [row[k:] for row in reduced[:k]]
+    return tuple(
+        tuple(sum((w[i] * row[j] for w, row in zip(w_basis, top)), Fraction(0)) for j in range(dim))
+        for i in range(dim)
     )
-    return ratmat.mat_mul(ratmat.mat_mul(b, selector), b_inv)
-
-
-def _in_span(w_basis: list[Vector], v: Vector) -> bool:
-    return ratmat.solve_in_span(list(w_basis), v) is not None
 
 
 def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
@@ -343,18 +339,18 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
     sub = rep.subgroup
     dim = rep.degree
     w_basis = [ratmat.vec(w) for w in w_basis]
-    for x in sub.elements:
-        for w in w_basis:
-            if not _in_span(w_basis, ratmat.mat_vec(rep.matrix(x), w)):
-                raise ValueError(f"W is not invariant: witness element {x}")
+    images = [ratmat.mat_vec(rep.matrix(x), w) for x in sub.elements for w in w_basis]
+    coords = ratmat.solve_in_span(w_basis, images)
+    if None in coords:
+        witness = sub.elements[coords.index(None) // len(w_basis)]
+        raise ValueError(f"W is not invariant: witness element {witness}")
     if ratmat.mat_mul(p0, p0) != p0:
         raise ValueError("P0 is not idempotent")
     for w in w_basis:
         if ratmat.mat_vec(p0, w) != tuple(w):
             raise ValueError("P0 does not fix W pointwise")
-    for col in ratmat.transpose(p0):
-        if not _in_span(w_basis, tuple(col)):
-            raise ValueError("range of P0 is not contained in W")
+    if None in ratmat.solve_in_span(w_basis, ratmat.transpose(p0)):
+        raise ValueError("range of P0 is not contained in W")
 
     total = ratmat.zeros(dim, dim)
     for x in sub.elements:
@@ -367,8 +363,9 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
     assert ratmat.mat_mul(p, p) == p, "average must stay idempotent"
     for w in w_basis:
         assert ratmat.mat_vec(p, w) == tuple(w), "average must fix W"
-    for col in ratmat.transpose(p):
-        assert _in_span(w_basis, tuple(col)), "range must stay inside W"
+    assert None not in ratmat.solve_in_span(w_basis, ratmat.transpose(p)), (
+        "range must stay inside W"
+    )
     for y in sub.elements:
         assert ratmat.mat_mul(rep.matrix(y), p) == ratmat.mat_mul(p, rep.matrix(y)), (
             f"average must commute with M({y})"
@@ -378,11 +375,8 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
     assert ratmat.rank(stacked) == len(w_basis) + len(kernel) == dim, (
         "kernel must complement W"
     )
-    for x in sub.elements:
-        for z in kernel:
-            assert _in_span(kernel, ratmat.mat_vec(rep.matrix(x), z)), (
-                "kernel must be invariant"
-            )
+    images = [ratmat.mat_vec(rep.matrix(x), z) for x in sub.elements for z in kernel]
+    assert None not in ratmat.solve_in_span(kernel, images), "kernel must be invariant"
     return p
 
 
@@ -489,7 +483,7 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
         for w, b in zip(weights, basis):
             if w:
                 cand = ratmat.add(cand, ratmat.scale(w, b))
-        if ratmat.det(cand) != 0:
+        if ratmat.rank(cand) == d:
             for x in rep1.subgroup.elements:
                 assert ratmat.mat_mul(cand, rep1.matrix(x)) == ratmat.mat_mul(
                     m2_pulled[x], cand
@@ -533,25 +527,15 @@ def decompose_invariants(rep: Representation) -> list[InvariantBlock]:
 
 def _restrict(rep: Representation, basis: list[Vector]):
     """Matrices of the action in the coordinates of an invariant subspace."""
-    dim = rep.degree
+    elements = rep.subgroup.elements
     k = len(basis)
-    cols = ratmat.mat([[basis[j][i] for j in range(k)] for i in range(dim)])
-    restricted = {}
-    for x in rep.subgroup.elements:
-        image_cols = []
-        for b in basis:
-            image = ratmat.mat_vec(rep.matrix(x), b)
-            coords = ratmat.solve(cols, image)
-            assert coords is not None, "subspace must be invariant"
-            image_cols.append(coords)
-        restricted[x] = tuple(
-            tuple(image_cols[j][i] for j in range(k)) for i in range(k)
-        )
-    return restricted
-
-
-def _commutant_basis(matrices: dict[int, Matrix], elements, dim: int):
-    return _intertwiner_space(matrices, matrices, elements, dim, dim)
+    images = [ratmat.mat_vec(rep.matrix(x), b) for x in elements for b in basis]
+    coords = ratmat.solve_in_span(basis, images)
+    assert None not in coords, "subspace must be invariant"
+    return {
+        x: tuple(tuple(coords[n * k + j][i] for j in range(k)) for i in range(k))
+        for n, x in enumerate(elements)
+    }
 
 
 def _matrix_poly(coeffs, m: Matrix) -> Matrix:
@@ -564,17 +548,7 @@ def _matrix_poly(coeffs, m: Matrix) -> Matrix:
 
 
 def _integer_scaled(m: Matrix) -> Matrix:
-    denom = 1
-    for row in m:
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-    return ratmat.scale(denom, m)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return ratmat.scale(math.lcm(*(x.denominator for row in m for x in row)), m)
 
 
 def _split_candidates(commutant, dim):
@@ -606,7 +580,7 @@ def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]
     sub_rep = Representation(
         subgroup=rep.subgroup, degree=subdim, matrices=restricted
     )
-    commutant = _commutant_basis(restricted, rep.subgroup.elements, subdim)
+    commutant = _intertwiner_space(restricted, restricted, rep.subgroup.elements, subdim, subdim)
     if len(commutant) == 1:
         return [
             InvariantBlock(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smaralg import gfmat, linalg, semigroup
+from smaralg import linalg, ratmat, semigroup
 from smaralg.cli import main
 
 
@@ -99,6 +99,41 @@ class TestSpectral:
         code, report = run_json(capsys, "spectral", "--matrix", json.dumps(self.MATRIX))
         assert code == 0 and report["payload"]["self_adjoint"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":5,"subfield":[0,1,2,3,7],"rows":1,"cols":1,"entries":[1]}',
+            '{"n":5,"subfield":[-1,0,1,2,3],"rows":1,"cols":1,"entries":[1]}',
+        ],
+    )
+    def test_non_residue_subfield_is_domain_error(self, capsys, text):
+        code, report = run_json(capsys, "spectral", "--matrix", text)
+        assert code == 1 and report["payload"]["reason"] == "domain_error"
+        assert "residues" in report["payload"]["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":"6","subfield":[0,2,4],"rows":1,"cols":1,"entries":[4]}',
+            "[1]",
+            '{"n":6,"subfield":[0,2,4],"rows":true,"cols":1,"entries":[4]}',
+            '{"n":6,"subfield":"0,2,4","rows":1,"cols":1,"entries":[4]}',
+            '{"n":6,"subfield":[0,2,4],"rows":1,"cols":1,"entries":[4.0]}',
+            '{"n":6,"subfield":[0,2,4],"rows":1,"cols":1,"entries":[false]}',
+        ],
+    )
+    def test_ill_typed_matrix_json_is_domain_error(self, capsys, text):
+        code, out = run(capsys, "spectral", "--matrix", text)
+        report = json.loads(out)
+        assert code == 1 and out.count("\n") == 1
+        assert report["status"] == "error" and report["payload"]["reason"] == "domain_error"
+
+    def test_ill_typed_matrix_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"n":"6","subfield":[0,2,4],"rows":1,"cols":1,"entries":[4]}')
+        code, report = run_json(capsys, "spectral", "--file", str(path))
+        assert code == 1 and report["payload"]["reason"] == "domain_error"
+
     def test_non_diagonalizable_exit_1(self, capsys):
         bad = {"n": 6, "subfield": [0, 3], "rows": 2, "cols": 2, "entries": [0, 3, 3, 0]}
         code, report = run_json(capsys, "spectral", "--matrix", json.dumps(bad))
@@ -126,7 +161,7 @@ class TestSpectral:
 
     def test_failed_reverification_is_internal_error(self, capsys, monkeypatch):
         # a wrong eigenspace basis must trip the eigenpair re-verification
-        monkeypatch.setattr(gfmat, "nullspace_mod", lambda a, q: [[1] + [0] * (len(a) - 1)])
+        monkeypatch.setattr(ratmat, "nullspace", lambda a, field: [[1] + [0] * (len(a) - 1)])
         code, report = run_json(capsys, "spectral", "--matrix", json.dumps(self.MATRIX))
         assert code == 3 and report["status"] == "error"
         assert report["payload"]["reason"] == "internal_error"
@@ -352,6 +387,35 @@ def test_no_partial_json_on_error(capsys):
     code, out = run(capsys, "certify", "6", "--elements", "0,2")
     assert code == 1
     json.loads(out)  # the whole line is one valid JSON document
+
+
+def test_parser_built_once_and_reused_with_identical_output(capsys, monkeypatch):
+    import argparse
+
+    from smaralg import cli
+
+    cli.build_parser()  # built on first use at the latest
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    commands = [
+        ["poly", "x^2+1 mod 5", "--pretty"],
+        ["spectral", "--matrix", json.dumps(TestSpectral.MATRIX)],
+        ["leontief", "--model", "open", "--matrix", "-1/8,1/2;1/2,1/4", "--demand", "1,1"],
+        ["certify", "6", "--elements", "0,2"],
+        ["semivec", "--action", "independent", "--vectors", "1,1;2,1;3,0"],
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    with pytest.raises(SystemExit):
+        main(["poly", "--mod", "q", "x^2+1"])
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in commands] == first
+    assert built == []
 
 
 class TestSemivecLattice:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from smaralg import gfmat, linalg
+from smaralg import linalg, ratmat
 from smaralg.linalg import (
     SpectralDecomposition,
     SpectralDiagnostic,
@@ -133,27 +133,27 @@ class TestRref:
                     assert apply_matrix(m, v).entries == (0, 0, 0)
 
     def test_one_elimination_per_call(self, monkeypatch):
-        real = gfmat.rref_mod
+        real = ratmat.rref
         calls = []
 
-        def counting(a, q):
-            calls.append(q)
-            return real(a, q)
+        def counting(a, field):
+            calls.append(field)
+            return real(a, field)
 
         rng = random.Random(4)
         for k in (K03, K024, K0510):
             for _ in range(10):
                 m = random_matrix(rng, k, 4)
-                q = k.prime_order
+                field = ratmat.prime_field(k.prime_order)
                 want = [
                     tuple(k.from_prime(x) for x in v)
-                    for v in gfmat.nullspace_mod(to_prime_matrix(m), q)
+                    for v in ratmat.nullspace(to_prime_matrix(m), field)
                 ]
-                monkeypatch.setattr(gfmat, "rref_mod", counting)
+                monkeypatch.setattr(ratmat, "rref", counting)
                 calls.clear()
                 rank, _, basis = rref_and_nullspace(m)
-                monkeypatch.setattr(gfmat, "rref_mod", real)
-                assert calls == [q]
+                monkeypatch.setattr(ratmat, "rref", real)
+                assert calls == [field]
                 assert [v.entries for v in basis] == want and rank + len(want) == 4
 
 

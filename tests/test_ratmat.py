@@ -1,0 +1,205 @@
+"""The one Gauss-Jordan kernel in ratmat, over Z_q and over Q.
+
+Cross-checked on hypothesis-generated matrices (empty, zero, non-square,
+rank-deficient, unreduced mod q) against the separate Z_q and rational
+loops it replaced, kept in reference_algebra.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_algebra import rat_det, rat_rref, rat_solve, rref_mod
+from smaralg import ratmat, semigroup
+from smaralg.semigroup import Side, find_subgroups, regular_representation, validate_table
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def matrices(draw, entries, max_rows=6, max_cols=7):
+    """Row lists of equal length; some rows are combinations of earlier
+    ones, so rank deficiency is common."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.booleans()):
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            c = draw(st.integers(-2, 2))
+            m.append([x + c * y for x, y in zip(a, b)])
+        else:
+            m.append([draw(entries) for _ in range(cols)])
+    return m
+
+
+small_ints = st.integers(-30, 30)
+rationals = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+def nullspace_reference(reduced, pivots, cols, neg):
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = neg(reduced[r][f])
+        basis.append(tuple(v))
+    return basis
+
+
+def mat_vec_mod(m, v, q):
+    return [sum(x * y for x, y in zip(row, v)) % q for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), matrices(small_ints))
+def test_zq_rref_nullspace_rank_match_reference(q, m):
+    field = ratmat.prime_field(q)
+    reduced, pivots = ratmat.rref(m, field)
+    ref, ref_pivots = rref_mod(m, q)
+    assert pivots == ref_pivots
+    # the reference leaves rows it never touches unreduced
+    assert reduced == [[x % q for x in row] for row in ref]
+    assert ratmat.rank(m, field) == len(pivots)
+    cols = len(m[0]) if m else 0
+    basis = ratmat.nullspace(m, field)
+    assert basis == nullspace_reference(reduced, pivots, cols, lambda x: -x % q)
+    assert basis == ratmat.nullspace_from_rref(reduced, pivots, cols, field)
+    assert len(basis) == cols - len(pivots)
+    for v in basis:
+        assert all(0 <= x < q for x in v)
+        assert mat_vec_mod(m, v, q) == [0] * len(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 6), st.data())
+def test_zq_inverse(q, dim, data):
+    field = ratmat.prime_field(q)
+    m = [[data.draw(small_ints) for _ in range(dim)] for _ in range(dim)]
+    inv = ratmat.inverse(m, field)
+    if len(rref_mod(m, q)[1]) < dim:
+        assert inv is None
+    else:
+        for i in range(dim):
+            column = mat_vec_mod(m, [row[i] for row in inv], q)
+            assert column == [int(i == j) for j in range(dim)]
+            assert all(0 <= x < q for x in inv[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(rationals, max_rows=5, max_cols=6))
+def test_q_rref_nullspace_rank_match_reference(m):
+    m = ratmat.mat(m)
+    reduced, pivots = ratmat.rref(m)
+    assert (reduced, pivots) == rat_rref(m)
+    assert ratmat.rank(m) == len(pivots)
+    cols = len(m[0]) if m else 0
+    basis = ratmat.nullspace(m)
+    assert basis == nullspace_reference(reduced, pivots, cols, lambda x: -x)
+    for v in basis:
+        assert ratmat.mat_vec(m, v) == (0,) * len(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_q_inverse_and_rank_decide_invertibility_as_det(dim, data):
+    m = ratmat.mat([[data.draw(rationals) for _ in range(dim)] for _ in range(dim)])
+    invertible = rat_det(m) != 0
+    assert (ratmat.rank(m) == dim) == invertible
+    inv = ratmat.inverse(m)
+    assert (inv is not None) == invertible
+    if invertible:
+        assert ratmat.mat_mul(m, inv) == ratmat.identity(dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(rationals, max_rows=5, max_cols=5), st.data())
+def test_q_solve_answers_each_column_as_one_column_solve(a, data):
+    a = ratmat.mat(a)
+    rows, cols = len(a), len(a[0]) if a else 0
+    bs = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        if data.draw(st.booleans()):  # consistent: A x for some x
+            x = [data.draw(rationals) for _ in range(cols)]
+            bs.append(ratmat.mat_vec(a, x) if a else ())
+        else:
+            bs.append(ratmat.vec([data.draw(rationals) for _ in range(rows)]))
+    got = ratmat.solve(a, bs)
+    assert got == [rat_solve(a, b) for b in bs]
+    for b, x in zip(bs, got):
+        if x is not None and a:
+            assert ratmat.mat_vec(a, x) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), matrices(small_ints, max_rows=5, max_cols=5), st.data())
+def test_zq_solve(q, a, data):
+    field = ratmat.prime_field(q)
+    rows, cols = len(a), len(a[0]) if a else 0
+    bs = [[data.draw(small_ints) for _ in range(rows)] for _ in range(data.draw(st.integers(0, 4)))]
+    rank_a = len(rref_mod(a, q)[1])
+    for b, x in zip(bs, ratmat.solve(a, bs, field)):
+        augmented = [row + [bi] for row, bi in zip(a, b)]
+        consistent = len(rref_mod(augmented, q)[1]) == rank_a if a else True
+        assert (x is not None) == consistent
+        if x is not None:
+            assert mat_vec_mod(a, x, q) == [bi % q for bi in b]
+
+
+def test_solve_in_span_with_empty_basis():
+    assert ratmat.solve_in_span([], [(0, 0), (0, 1)]) == [(), None]
+    assert ratmat.solve_in_span([(1, 1)], []) == []
+
+
+def test_empty_and_zero_matrices():
+    for field in (ratmat.Q, ratmat.prime_field(5)):
+        assert ratmat.rref([], field) == ([], [])
+        assert ratmat.rref([[]], field) == ([[]], [])
+        assert ratmat.nullspace([[0, 0]], field) == [(1, 0), (0, 1)]
+        assert ratmat.inverse([], field) == ()
+        assert ratmat.inverse([[0]], field) is None
+        assert ratmat.rank([[0, 0], [0, 0]], field) == 0
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    real = ratmat.rref
+
+    def counting(m, field=ratmat.Q):
+        calls.append(len(m))
+        return real(m, field)
+
+    monkeypatch.setattr(ratmat, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_restrict_eliminates_once(order, eliminations):
+    table = validate_table([[(i + j) % order for j in range(order)] for i in range(order)])
+    rep = regular_representation(find_subgroups(table)[0], Side.LEFT)
+    # the sum of the indicators spans the trivial block; with all of
+    # the space it gives an invariant subspace of each dimension
+    whole = [tuple(Fraction(int(i == j)) for i in range(order)) for j in range(order)]
+    for basis in ([ratmat.vec([1] * order)], whole):
+        eliminations.clear()
+        restricted = semigroup._restrict(rep, basis)
+        assert len(eliminations) == 1
+        assert restricted[1] == (
+            ((Fraction(1),),) if len(basis) == 1 else rep.matrix(1)
+        )
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_projection_onto_eliminates_once(dim, eliminations):
+    w = [ratmat.vec([1] * dim), ratmat.vec([0, 1] + [0] * (dim - 2))]
+    p = semigroup.projection_onto(w, dim)
+    assert len(eliminations) == 1
+    assert ratmat.mat_mul(p, p) == p
+    for v in w:
+        assert ratmat.mat_vec(p, v) == v

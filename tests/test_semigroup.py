@@ -22,6 +22,10 @@ from smaralg.semigroup import (
 )
 
 
+def regular_pair(sub):
+    return regular_representation(sub, Side.LEFT), regular_representation(sub, Side.RIGHT)
+
+
 class TestValidation:
     def test_t2_is_valid(self, t2_table):
         assert t2_table.order == 4
@@ -162,21 +166,28 @@ class TestPermutationRepresentation:
 class TestIntertwiner:
     def test_z2_is_identity(self, t2_table):
         z2 = find_subgroups(t2_table)[0]
-        assert left_right_intertwiner(z2) == ratmat.identity(2)
+        assert left_right_intertwiner(*regular_pair(z2)) == ratmat.identity(2)
 
     def test_z3_swaps_inverses(self, z3_table):
         sub = find_subgroups(z3_table)[0]
-        t = left_right_intertwiner(sub)
+        t = left_right_intertwiner(*regular_pair(sub))
         # basis order (0, 1, 2); inversion swaps 1 <-> 2
         assert t == ratmat.mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
     def test_trivial_group(self, t2_table):
         const = find_subgroups(t2_table)[1]
-        assert left_right_intertwiner(const) == ratmat.identity(1)
+        assert left_right_intertwiner(*regular_pair(const)) == ratmat.identity(1)
 
     def test_s3_intertwines(self, s3_table):
         sub = find_subgroups(s3_table)[0]
-        left_right_intertwiner(sub)  # all identities asserted inside
+        left_right_intertwiner(*regular_pair(sub))  # all identities asserted inside
+
+    def test_different_subgroups_rejected(self, t2_table):
+        z2, const = find_subgroups(t2_table)[:2]
+        with pytest.raises(ValueError):
+            left_right_intertwiner(
+                regular_representation(z2, Side.LEFT), regular_representation(const, Side.RIGHT)
+            )
 
 
 class TestAveragedProjection:
@@ -219,6 +230,15 @@ class TestAveragedProjection:
         w = [ratmat.vec([1, 0, 0])]  # not invariant under rotation
         with pytest.raises(ValueError, match="not invariant"):
             averaged_projection(rep, w, projection_onto(w, 3))
+
+    def test_non_invariant_witness_is_first_failing_element(self, s3_table):
+        sub = find_subgroups(s3_table)[0]
+        rep = regular_representation(sub, Side.LEFT)
+        # span of the indicators at 0 (the identity) and 1 (a transposition):
+        # element 1 keeps it, element 2 is the first to move it
+        w = [ratmat.vec([1, 1, 0, 0, 0, 0]), ratmat.vec([1, -1, 0, 0, 0, 0])]
+        with pytest.raises(ValueError, match="witness element 2$"):
+            averaged_projection(rep, w, projection_onto(w, 6))
 
     def test_bad_projection_rejected(self, z3_table):
         sub = find_subgroups(z3_table)[0]
@@ -364,7 +384,7 @@ class TestDecomposition:
             basis = list(block.basis)
             for x in sub.elements:
                 for v in basis:
-                    assert ratmat.solve_in_span(basis, ratmat.mat_vec(rep.matrix(x), v)) is not None
+                    assert ratmat.solve_in_span(basis, [ratmat.mat_vec(rep.matrix(x), v)]) != [None]
 
     @pytest.mark.parametrize(
         "m,dims",
