@@ -11,7 +11,6 @@ adds a human-readable rendering instead of the compact JSON.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -355,9 +354,7 @@ def cmd_golden(args):
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="smaralg",
         description="Workbench for Smarandache algebraic structures over Z_n, "

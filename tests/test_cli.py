@@ -389,35 +389,6 @@ def test_no_partial_json_on_error(capsys):
     json.loads(out)  # the whole line is one valid JSON document
 
 
-def test_parser_built_once_and_reused_with_identical_output(capsys, monkeypatch):
-    import argparse
-
-    from smaralg import cli
-
-    cli.build_parser()  # built on first use at the latest
-    built = []
-    real_init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    commands = [
-        ["poly", "x^2+1 mod 5", "--pretty"],
-        ["spectral", "--matrix", json.dumps(TestSpectral.MATRIX)],
-        ["leontief", "--model", "open", "--matrix", "-1/8,1/2;1/2,1/4", "--demand", "1,1"],
-        ["certify", "6", "--elements", "0,2"],
-        ["semivec", "--action", "independent", "--vectors", "1,1;2,1;3,0"],
-    ]
-    first = [run(capsys, *argv) for argv in commands]
-    with pytest.raises(SystemExit):
-        main(["poly", "--mod", "q", "x^2+1"])
-    capsys.readouterr()
-    assert [run(capsys, *argv) for argv in commands] == first
-    assert built == []
-
-
 class TestSemivecLattice:
     def test_chain_json(self, capsys):
         code, report = run_json(
