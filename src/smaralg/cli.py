@@ -113,6 +113,8 @@ def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
         ]
         return semigroup.validate_table(rows)
     data = _load_json(args.file)
+    if not isinstance(data, dict):
+        raise ValueError("semigroup JSON must be an object with a table key")
     return semigroup.validate_table(data["table"])
 
 

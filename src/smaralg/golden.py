@@ -146,16 +146,9 @@ def check_z6_charpoly_roots_in_k():
 
 
 def _in_span(vectors, target, k):
-    prime = [[k.to_prime(x) for x in v] for v in vectors]
+    columns = [[k.to_prime(v[i]) for v in vectors] for i in range(len(target))]
     t = [k.to_prime(x) for x in target]
-    import itertools
-
-    q = k.prime_order
-    for coeffs in itertools.product(range(q), repeat=len(prime)):
-        combo = [sum(c * v[i] for c, v in zip(coeffs, prime)) % q for i in range(len(t))]
-        if combo == t:
-            return True
-    return False
+    return ratmat.solve(columns, [t], ratmat.prime_field(k.prime_order))[0] is not None
 
 
 def check_z3_eigen():

@@ -164,8 +164,3 @@ def factor_monic(f) -> list[list[int]]:
     if len(f) > 1:
         factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
-
-
-def is_irreducible(f) -> bool:
-    fs = factor_monic(f)
-    return len(fs) == 1 and fs[0] == list(f)

@@ -271,9 +271,8 @@ def kernel_of_hom(q: int, max_degree: int) -> list[ModPolynomial]:
     if q ** (max_degree + 1) > 10**6:
         raise ValueError("enumeration bound exceeded: q^(max_degree+1) > 10^6")
     kernel = [
-        ModPolynomial(q, tup)
-        for tup in itertools.product(range(q), repeat=max_degree + 1)
-        if sum(tup) % q == 0
+        ModPolynomial(q, head + (-sum(head) % q,))
+        for head in itertools.product(range(q), repeat=max_degree)
     ]
     kernel.sort(key=lambda poly: poly.padded(max_degree + 1))
     assert len(kernel) * q == q ** (max_degree + 1), "quotient must have q cosets"

@@ -9,6 +9,7 @@ homomorphism law verified exhaustively before use.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,13 +45,17 @@ class SemigroupTable:
 
 
 def validate_table(raw) -> SemigroupTable:
-    """Check shape, index range and associativity (O(m^3), with witness)."""
+    """Check types, shape, range and associativity (O(m^3), with witness)."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in raw):
+        raise TableError("table must be a list of rows")
     rows = [list(r) for r in raw]
     m = len(rows)
     if m == 0 or any(len(r) != m for r in rows):
         raise TableError("table must be a nonempty square array")
     for x in range(m):
         for y in range(m):
+            if not isinstance(rows[x][y], int) or isinstance(rows[x][y], bool):
+                raise TableError(f"entry ({x},{y}) = {rows[x][y]!r} is not an integer", (x, y))
             if not 0 <= rows[x][y] < m:
                 raise TableError(f"entry ({x},{y}) = {rows[x][y]} out of range", (x, y))
     for x in range(m):
@@ -336,6 +341,11 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
     property: P^2 = P, P fixes W, range(P) = W, P commutes with the
     action, and ker P is an invariant complement of W.
     """
+    return _invariant_projection(rep, w_basis, p0)[0]
+
+
+def _invariant_projection(rep: Representation, w_basis, p0: Matrix):
+    """averaged_projection's P and the basis of ker P its checks compute."""
     sub = rep.subgroup
     dim = rep.degree
     w_basis = [ratmat.vec(w) for w in w_basis]
@@ -377,7 +387,7 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
     )
     images = [ratmat.mat_vec(rep.matrix(x), z) for x in sub.elements for z in kernel]
     assert None not in ratmat.solve_in_span(kernel, images), "kernel must be invariant"
-    return p
+    return p, kernel
 
 
 @dataclass(frozen=True)
@@ -396,24 +406,32 @@ class IsoReport:
         }
 
 
-def _intertwiner_space(m1: dict[int, Matrix], m2: dict[int, Matrix], elements, d1: int, d2: int):
-    """Basis of {T : T M1(x) = M2(x) T for all x}; T is d2 x d1."""
-    unknowns = d2 * d1
-    rows = []
-    for x in elements:
-        a, b = m1[x], m2[x]
-        for i in range(d2):
-            for j in range(d1):
-                row = [Fraction(0)] * unknowns
-                for t in range(d1):
-                    row[i * d1 + t] += a[t][j]
-                for t in range(d2):
-                    row[t * d1 + j] -= b[i][t]
-                rows.append(row)
-    basis = ratmat.nullspace(ratmat.mat(rows)) if rows else []
+def _intertwiner_space(m1: dict[int, Matrix], m2: dict[int, Matrix], group: SubgroupRecord):
+    """Basis of {T : T M1(x) = M2(x) T for all x}, M1 and M2 of one degree
+    and keyed by the elements of group: the span of the group averages
+    sum_g M2(g) E_ij M1(g^-1) of the elementary matrices (the Reynolds
+    operator).  The basis is the one a nullspace with free columns set to
+    one would give: the rref of the flattened averages with the columns
+    reversed, read back and listed by ascending last nonzero entry.
+    """
+    d = len(m1[group.identity])
+    last = d * d - 1
+    # entry (a, b) of the (i, j) term is M2(g)[a][i] M1(g^-1)[j][b]
+    flipped = [[Fraction(0)] * (d * d) for _ in range(d * d)]
+    for x in group.elements:
+        b, c = m2[x], m1[group.inverse(x)]
+        columns = [[(a, b[a][i]) for a in range(d) if b[a][i]] for i in range(d)]
+        rows = [[(e, c[j][e]) for e in range(d) if c[j][e]] for j in range(d)]
+        for i, column in enumerate(columns):
+            for j, row in enumerate(rows):
+                average = flipped[i * d + j]
+                for a, u in column:
+                    for e, v in row:
+                        average[last - a * d - e] += u * v
+    reduced, pivots = ratmat.rref(flipped)
     return [
-        tuple(tuple(v[i * d1 + j] for j in range(d1)) for i in range(d2))
-        for v in basis
+        tuple(tuple(v[a * d : (a + 1) * d]) for a in range(d))
+        for v in (row[::-1] for row in reversed(reduced[: len(pivots)]))
     ]
 
 
@@ -422,7 +440,8 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
 
     The decision is by exact character equality (valid over the rationals
     for finite groups); the witness is found by sweeping deterministic
-    small-integer combinations of the intertwiner-space basis, a sweep
+    small-integer combinations of a basis of the intertwiners, the group
+    averages of the elementary matrices (_intertwiner_space), a sweep
     that provably cannot miss an invertible element when one exists.
     """
     if isomorphism is None:
@@ -462,9 +481,7 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
                 },
             )
 
-    basis = _intertwiner_space(
-        rep1.matrices, m2_pulled, rep1.subgroup.elements, d, d
-    )
+    basis = _intertwiner_space(rep1.matrices, m2_pulled, rep1.subgroup)
     k = len(basis)
     assert k > 0, "equal characters force a nonzero intertwiner space"
 
@@ -507,11 +524,12 @@ def decompose_invariants(rep: Representation) -> list[InvariantBlock]:
     """Split the representation into invariant subspaces, recursively,
     and certify each emitted block irreducible over the rationals.
 
-    Splitting operators are drawn from the commutant (spanned by the
-    group-averaged elementary seeds), their products, and deterministic
-    combinations; a proper kernel of an irreducible factor of a candidate
-    minimal polynomial yields a split, realized with the averaged
-    projection so the complement is invariant too.
+    Splitting operators are drawn from the commutant (spanned by the group
+    averages sum_g M(g) E_ij M(g^-1) of the elementary matrices), products
+    of its basis and deterministic combinations, each built when reached;
+    a proper kernel of an irreducible factor of a candidate minimal
+    polynomial yields a split, realized with the averaged projection so
+    the complement is invariant too.
     """
     if rep.degree > 8:
         raise ValueError("decomposition is limited to degree <= 8")
@@ -551,49 +569,37 @@ def _integer_scaled(m: Matrix) -> Matrix:
     return ratmat.scale(math.lcm(*(x.denominator for row in m for x in row)), m)
 
 
-def _split_candidates(commutant, dim):
+def _split_candidates(commutant):
+    """Commutant elements to try as splitting operators, each once and
+    built only when reached: the basis, its pairwise products, then the
+    combinations sum_i s^i B_i for s = 2, ..., 2k + 3."""
+    products = (ratmat.mat_mul(a, b) for a in commutant for b in commutant)
+    combos = (
+        functools.reduce(
+            ratmat.add, (ratmat.scale(Fraction(s) ** i, b) for i, b in enumerate(commutant))
+        )
+        for s in range(2, 2 * len(commutant) + 4)
+    )
     seen = set()
-    out = []
-
-    def push(m):
+    for m in itertools.chain(commutant, products, combos):
         if m not in seen:
             seen.add(m)
-            out.append(m)
-
-    for b in commutant:
-        push(b)
-    for a in commutant:
-        for b in commutant:
-            push(ratmat.mat_mul(a, b))
-    k = len(commutant)
-    for s in range(2, 2 * k + 4):
-        combo = ratmat.zeros(dim, dim)
-        for i, b in enumerate(commutant):
-            combo = ratmat.add(combo, ratmat.scale(Fraction(s) ** i, b))
-        push(combo)
-    return out
+            yield m
 
 
 def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]:
     subdim = len(basis)
     restricted = _restrict(rep, basis)
-    sub_rep = Representation(
-        subgroup=rep.subgroup, degree=subdim, matrices=restricted
-    )
-    commutant = _intertwiner_space(restricted, restricted, rep.subgroup.elements, subdim, subdim)
+    sub_rep = Representation(subgroup=rep.subgroup, degree=subdim, matrices=restricted)
+    commutant = _intertwiner_space(restricted, restricted, rep.subgroup)
     if len(commutant) == 1:
         return [
             InvariantBlock(
                 basis=tuple(basis), irreducible=True, certificate="commutant_scalars"
             )
         ]
-    commutative = all(
-        ratmat.mat_mul(a, b) == ratmat.mat_mul(b, a)
-        for a in commutant
-        for b in commutant
-    )
     field_evidence = False
-    for cand in _split_candidates(commutant, subdim):
+    for cand in _split_candidates(commutant):
         scaled = _integer_scaled(cand)
         minp = ratmat.min_poly(scaled)
         if any(c.denominator != 1 for c in minp):
@@ -609,15 +615,18 @@ def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]
             kernel = ratmat.nullspace(evaluated)
             if 0 < len(kernel) < subdim:
                 p0 = projection_onto(kernel, subdim)
-                p = averaged_projection(sub_rep, kernel, p0)
-                complement = ratmat.nullspace(p)
+                _, complement = _invariant_projection(sub_rep, kernel, p0)
                 w_orig = [_lift(basis, w) for w in kernel]
                 z_orig = [_lift(basis, z) for z in complement]
                 return _decompose(rep, w_orig) + _decompose(rep, z_orig)
-        # a commutative commutant generated by one element with an
-        # irreducible minimal polynomial is a field: no idempotents,
-        # hence no invariant splitting exists at all
-        if commutative and len(factors) == 1 and len(minp) - 1 == len(commutant):
+        # the powers of cand span a subalgebra as large as the commutant,
+        # so the commutant is Q[x]/(minp), a field (minp irreducible): no
+        # idempotents, hence no invariant splitting exists at all
+        if len(factors) == 1 and len(minp) - 1 == len(commutant):
+            assert all(
+                ratmat.mat_mul(a, b) == ratmat.mat_mul(b, a)
+                for a, b in itertools.combinations(commutant, 2)
+            ), "a commutant spanned by the powers of one element must commute"
             field_evidence = True
             break
     return [

@@ -2,14 +2,16 @@
 
 Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
-search, and the separate Z_q and rational Gauss-Jordan loops that the
-one elimination kernel in ``smaralg.ratmat`` replaced.
+search, the separate Z_q and rational Gauss-Jordan loops that the one
+elimination kernel in ``smaralg.ratmat`` replaced, and the intertwiner
+space solved from its defining linear constraints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from smaralg import ratmat
 from smaralg.ringcore import SubfieldRejection, certify_subfield
 
 
@@ -117,3 +119,25 @@ def rat_solve(a, b):
     for r, c in enumerate(pivots):
         x[c] = reduced[r][cols]
     return tuple(x)
+
+
+def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):
+    """Basis of {T : T M1(x) = M2(x) T for all x}, T d2 x d1, as the
+    nullspace of the (|G| d1 d2) x (d1 d2) system the equations spell out."""
+    unknowns = d2 * d1
+    rows = []
+    for x in elements:
+        a, b = m1[x], m2[x]
+        for i in range(d2):
+            for j in range(d1):
+                row = [Fraction(0)] * unknowns
+                for t in range(d1):
+                    row[i * d1 + t] += a[t][j]
+                for t in range(d2):
+                    row[t * d1 + j] -= b[i][t]
+                rows.append(row)
+    basis = ratmat.nullspace(ratmat.mat(rows)) if rows else []
+    return [
+        tuple(tuple(v[i * d1 + j] for j in range(d1)) for i in range(d2))
+        for v in basis
+    ]

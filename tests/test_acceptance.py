@@ -416,3 +416,32 @@ def test_criterion_13_semivector_pruned_search():
         result = span_membership(target, gens)
     assert not result.member and math.prod(result.searched) == 1_533_312
     assert not overshoot_search(target, gens)
+
+
+def _q8_table():
+    from smaralg.semigroup import table_from_operation
+
+    def mul(a, b):
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+    units = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    return table_from_operation(units, mul)
+
+
+def test_criterion_14_regular_decomposition():
+    from smaralg.semigroup import validate_table
+
+    c8 = validate_table([[(i + j) % 8 for j in range(8)] for i in range(8)])
+    for label, table, limit, dims in (
+        ("C_8", c8, 1.0, [1, 1, 2, 4]),
+        ("Q8", _q8_table(), 0.7, [1, 1, 1, 1, 4]),
+    ):
+        rep = regular_representation(find_subgroups(table)[0], Side.LEFT)
+        with Timer(limit, f"criterion 14: {label} regular representation decomposed"):
+            blocks = decompose_invariants(rep)
+        assert sorted(b.dimension for b in blocks) == dims

@@ -201,6 +201,23 @@ class TestSemigroupCli:
         code, report = run_json(capsys, "semigroup", "--file", str(path))
         assert code == 1 and report["payload"]["reason"] == "invalid_table"
 
+    @pytest.mark.parametrize("command", [["semigroup"], ["rep", "--identity", "0"]])
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('{"table": 5}', "invalid_table"),
+            ("[1]", "domain_error"),
+            ('{"table": [[0, 1.0], [1, 0]]}', "invalid_table"),
+            ('{"table": [[0, true], [1, 0]]}', "invalid_table"),
+        ],
+    )
+    def test_ill_typed_json_table_exit_1(self, capsys, tmp_path, command, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, report = run_json(capsys, command[0], "--file", str(path), *command[1:])
+        assert code == 1 and report["status"] == "error"
+        assert report["payload"]["reason"] == reason
+
     def test_rep_with_checks(self, capsys, tmp_path):
         path = tmp_path / "t2.csv"
         path.write_text(self.CSV)

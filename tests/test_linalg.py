@@ -104,6 +104,24 @@ class TestPrimeTransport:
         assert to_prime_matrix(d) == [[1, 0], [0, 1]]
 
 
+def test_golden_span_check_matches_coefficient_scan():
+    from smaralg.golden import _in_span
+
+    rng = random.Random(7)
+    for k in (Z3, K03, K024, K048, K0510):
+        q = k.prime_order
+        for _ in range(40):
+            vectors = [[rng.choice(k.elements) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+            target = [rng.choice(k.elements) for _ in range(3)]
+            prime = [[k.to_prime(x) for x in v] for v in vectors]
+            t = [k.to_prime(x) for x in target]
+            scan = any(
+                [sum(c * v[i] for c, v in zip(coeffs, prime)) % q for i in range(3)] == t
+                for coeffs in itertools.product(range(q), repeat=len(prime))
+            )
+            assert _in_span(vectors, target, k) == scan
+
+
 class TestRref:
     def test_eigenspace_of_paper_matrix(self):
         a = z6_matrix()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -250,6 +251,14 @@ class TestKernel:
     def test_bound(self):
         with pytest.raises(ValueError):
             kernel_of_hom(7, 8)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_matches_filtered_product(self, q, d):
+        filtered = sorted(
+            (tup for tup in itertools.product(range(q), repeat=d + 1) if sum(tup) % q == 0)
+        )
+        assert [p.padded(d + 1) for p in kernel_of_hom(q, d)] == filtered
 
 
 def scale_poly(c, p):

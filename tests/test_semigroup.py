@@ -1,11 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smaralg import ratmat
+from smaralg import ratmat, semigroup
 from smaralg.semigroup import (
+    Representation,
     Side,
     TableError,
+    _intertwiner_space,
+    _restrict,
     table_from_operation,
     averaged_projection,
     decompose_invariants,
@@ -20,6 +26,8 @@ from smaralg.semigroup import (
     trivial_representation,
     validate_table,
 )
+
+from reference_algebra import intertwiner_space_by_constraints
 
 
 def regular_pair(sub):
@@ -43,6 +51,13 @@ class TestValidation:
             validate_table([[0, 1], [1]])
         with pytest.raises(TableError):
             validate_table([[0, 5], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "raw", [5, [1], [[0, 1.0], [1, 0]], [[0, True], [1, 0]], [[0, "1"], [1, 0]]]
+    )
+    def test_ill_typed_rejected(self, raw):
+        with pytest.raises(TableError):
+            validate_table(raw)
 
 
 class TestSubgroups:
@@ -445,3 +460,204 @@ class TestDecomposition:
         big = make_representation(sub, {x: triple(rep.matrix(x)) for x in sub.elements})
         with pytest.raises(ValueError):
             decompose_invariants(big)
+
+
+def _closure_table(generators, compose):
+    """Cayley table of the group generated under compose."""
+    elements = set(generators)
+    frontier = list(elements)
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = compose(x, g)
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    return table_from_operation(sorted(elements), compose)
+
+
+def _quaternion_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _compose(f, g):
+    return tuple(f[i] for i in g)
+
+
+GROUP_TABLES = {
+    **{f"C{n}": validate_table([[(i + j) % n for j in range(n)] for i in range(n)])
+       for n in range(2, 9)},
+    "S3": _closure_table([(1, 0, 2), (1, 2, 0)], _compose),
+    "D4": _closure_table([(1, 2, 3, 0), (0, 3, 2, 1)], _compose),
+    "Q8": _closure_table([(0, 1, 0, 0), (0, 0, 1, 0)], _quaternion_mul),
+}
+GROUPS = {name: find_subgroups(table)[0] for name, table in GROUP_TABLES.items()}
+
+
+def _coset_representation(group, h):
+    """Permutation representation on the left cosets of the subgroup h."""
+    cosets = sorted({tuple(sorted(group.mul(x, y) for y in h.elements)) for x in group.elements})
+    index = {c: i for i, c in enumerate(cosets)}
+
+    def act(x, p):
+        return index[tuple(sorted(group.mul(x, y) for y in cosets[p]))]
+
+    return permutation_representation(group, act, range(len(cosets)))
+
+
+def _conjugation_representation(group):
+    return permutation_representation(
+        group, lambda x, p: group.mul(group.mul(x, p), group.inverse(x)), group.elements
+    )
+
+
+@functools.cache
+def base_representations(name):
+    """Permutation representations of a group (regular on both sides,
+    conjugation, left cosets of each proper nontrivial subgroup), each
+    also restricted to its zero-sum subspace, and the trivial ones of
+    degrees 1-3."""
+    group = GROUPS[name]
+    perms = [regular_representation(group, side) for side in Side]
+    perms.append(_conjugation_representation(group))
+    perms += [
+        _coset_representation(group, h)
+        for h in find_subgroups(GROUP_TABLES[name], all_subgroups=True)
+        if 1 < h.order < group.order
+    ]
+    restricted = []
+    for rep in perms:
+        d = rep.degree
+        zero_sum = [
+            ratmat.vec([1 if i == j else -1 if i == d - 1 else 0 for i in range(d)])
+            for j in range(d - 1)
+        ]
+        restricted.append(Representation(group, d - 1, _restrict(rep, zero_sum)))
+    trivial = [permutation_representation(group, lambda x, p: p, range(k)) for k in (1, 2, 3)]
+    return perms + restricted + trivial
+
+
+@st.composite
+def representations(draw, name, degree=None):
+    """One of the base representations (of the given degree), optionally
+    conjugated by D (I + a E_ij)(I + b E_kl), D an invertible diagonal:
+    a rational change of basis that keeps the constraint oracle fast."""
+    rep = draw(st.sampled_from(
+        [r for r in base_representations(name) if degree in (None, r.degree)]
+    ))
+    d = rep.degree
+    if d == 1 or not draw(st.booleans()):
+        return rep
+    units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)])
+    p = ratmat.mat([[draw(units) if i == j else 0 for j in range(d)] for i in range(d)])
+    for _ in range(2):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        shear = [list(row) for row in ratmat.identity(d)]
+        shear[i][j] = draw(units)
+        p = ratmat.mat_mul(p, ratmat.mat(shear))
+    inv = ratmat.inverse(p)
+    return Representation(
+        rep.subgroup,
+        d,
+        {x: ratmat.mat_mul(ratmat.mat_mul(inv, m), p) for x, m in rep.matrices.items()},
+    )
+
+
+def _oracle(m1, m2, group):
+    d = len(m1[group.identity])
+    return intertwiner_space_by_constraints(m1, m2, group.elements, d, d)
+
+
+class TestIntertwinerSpace:
+    """The Reynolds span gives the same basis, entry for entry, as the
+    nullspace of the constraint system."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_commutant_matches_constraint_oracle(self, data):
+        name = data.draw(st.sampled_from(sorted(GROUPS)))
+        group = GROUPS[name]
+        rep = data.draw(representations(name))
+        assert _intertwiner_space(rep.matrices, rep.matrices, group) == _oracle(
+            rep.matrices, rep.matrices, group
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_intertwiners_match_constraint_oracle(self, data):
+        # the second representation pulled back along an inner
+        # automorphism x -> g x g^-1, as rep_isomorphic pulls it back
+        name = data.draw(st.sampled_from(sorted(GROUPS)))
+        group = GROUPS[name]
+        g = data.draw(st.sampled_from(group.elements))
+        rep1 = data.draw(representations(name))
+        rep2 = data.draw(representations(name, rep1.degree))
+        pulled = {
+            x: rep2.matrix(group.mul(group.mul(g, x), group.inverse(g)))
+            for x in group.elements
+        }
+        assert _intertwiner_space(rep1.matrices, pulled, group) == _oracle(
+            rep1.matrices, pulled, group
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_explicit_isomorphism_matches_constraint_oracle(self, data):
+        # regular representations of a group and of a relabelled copy of
+        # its table, compared through the relabelling
+        name = data.draw(st.sampled_from(sorted(GROUPS)))
+        group, table = GROUPS[name], GROUP_TABLES[name].table
+        perm = data.draw(st.permutations(range(len(table))))
+        copy = [[0] * len(table) for _ in table]
+        for x, row in enumerate(table):
+            for y, z in enumerate(row):
+                copy[perm[x]][perm[y]] = perm[z]
+        copy_group = find_subgroups(validate_table(copy))[0]
+        rep1 = regular_representation(group, data.draw(st.sampled_from(Side)))
+        rep2 = regular_representation(copy_group, data.draw(st.sampled_from(Side)))
+        phi = {x: perm[x] for x in group.elements}
+        pulled = {x: rep2.matrix(phi[x]) for x in group.elements}
+        basis = _intertwiner_space(rep1.matrices, pulled, group)
+        assert basis == _oracle(rep1.matrices, pulled, group)
+        report = rep_isomorphic(rep1, rep2, isomorphism=phi)
+        assert report.isomorphic
+        flat = [tuple(x for row in b for x in row) for b in basis]
+        witness = tuple(x for row in report.intertwiner for x in row)
+        assert ratmat.solve_in_span(flat, [witness]) != [None]
+
+    def test_one_elimination_of_at_most_d_squared_rows(self, monkeypatch):
+        # C_6: rep_isomorphic plus decompose_invariants solve eight
+        # intertwiner spaces; each must be a single rref of <= d^2 rows
+        group = GROUPS["C6"]
+        left, right = regular_pair(group)
+        solves, active = [], []
+        real_space, real_rref = semigroup._intertwiner_space, ratmat.rref
+
+        def space(m1, *args):
+            rows = []
+            solves.append((len(m1[group.identity]), rows))
+            active.append(rows)
+            try:
+                return real_space(m1, *args)
+            finally:
+                active.pop()
+
+        def rref(m, *args):
+            if active:
+                active[-1].append(len(m))
+            return real_rref(m, *args)
+
+        monkeypatch.setattr(semigroup, "_intertwiner_space", space)
+        monkeypatch.setattr(ratmat, "rref", rref)
+        assert rep_isomorphic(left, right).isomorphic
+        decompose_invariants(left)
+        assert len(solves) == 8
+        for d, rows in solves:
+            assert len(rows) == 1 and rows[0] <= d * d, (d, rows)
