@@ -41,8 +41,8 @@ class DomainError(Exception):
         super().__init__(message)
 
 
-def _print_report(args, payload, citations, pretty_text=None) -> None:
-    report = {"status": "ok", "payload": payload, "citations": citations}
+def _print_report(args, payload, citations, pretty_text=None, status="ok") -> None:
+    report = {"status": status, "payload": payload, "citations": citations}
     if getattr(args, "pretty", False) and pretty_text is not None:
         print(pretty_text)
     else:
@@ -68,35 +68,44 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
 
+def _checked(value, shape, path: str):
+    """Return the JSON ``value`` if it has ``shape``, else raise ValueError
+    naming the first bad path.  A shape is a type (``int`` never matches a
+    bool), ``[s]`` for a list of ``s``, or ``{key: s}`` for an object with
+    at least those keys."""
+    expected = type(shape) if isinstance(shape, (list, dict)) else shape
+    if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+        raise ValueError(f"{path} must be {expected.__name__}, not {type(value).__name__}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _checked(item, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            if key not in value:
+                raise ValueError(f"{path} needs the key {key!r}")
+            _checked(value[key], sub, f"{path}.{key}")
+    return value
+
+
 def _matrix_from_args(args) -> ratmat.Matrix:
     if getattr(args, "file", None):
-        data = _load_json(args.file) if args.file.endswith(".json") else None
-        if data is None:
+        if not args.file.endswith(".json"):
             raise DomainError("bad_file", "matrix files must be .json")
-        return ratmat.matrix_from_json(data["entries"] if "entries" in data else data)
+        data = _load_json(args.file)
+        if isinstance(data, dict):  # {"entries": rows} or the bare rows
+            data = _checked(data, {"entries": [[object]]}, "matrix")["entries"]
+        return ratmat.matrix_from_json(_checked(data, [[object]], "matrix"))
     if getattr(args, "matrix", None):
         return _parse_rat_matrix(args.matrix)
     raise DomainError("missing_input", "provide --matrix or --file")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+_SUBFIELD_MATRIX = {"n": int, "subfield": [int], "rows": int, "cols": int, "entries": [int]}
 
 
 def _subfield_matrix_from_args(args) -> linalg.SubfieldMatrix:
-    if args.file:
-        data = _load_json(args.file)
-    else:
-        data = json.loads(args.matrix)
-    if not isinstance(data, dict):
-        raise ValueError("matrix JSON must be an object with n, subfield, rows, cols and entries")
-    for key in ("n", "subfield", "rows", "cols", "entries"):
-        value = data[key]
-        if key in ("subfield", "entries"):
-            if not isinstance(value, list) or not all(map(_is_int, value)):
-                raise ValueError(f"{key} must be a list of integers")
-        elif not _is_int(value):
-            raise ValueError(f"{key} must be an integer")
+    data = _load_json(args.file) if args.file else json.loads(args.matrix)
+    data = _checked(data, _SUBFIELD_MATRIX, "matrix")
     k = ringcore.subfield_from_elements(data["n"], data["subfield"])
     return linalg.SubfieldMatrix(
         k=k, rows=data["rows"], cols=data["cols"], entries=tuple(data["entries"])
@@ -106,16 +115,17 @@ def _subfield_matrix_from_args(args) -> linalg.SubfieldMatrix:
 def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
     path = Path(args.file)
     if path.suffix == ".csv":
-        rows = [
+        raw = [
             [int(tok) for tok in line.split(",")]
             for line in path.read_text().strip().splitlines()
             if line.strip()
         ]
-        return semigroup.validate_table(rows)
-    data = _load_json(args.file)
-    if not isinstance(data, dict):
-        raise ValueError("semigroup JSON must be an object with a table key")
-    return semigroup.validate_table(data["table"])
+    else:
+        raw = _checked(_load_json(args.file), {"table": object}, "file")["table"]
+    try:
+        return semigroup.validate_table(raw)
+    except TableError as exc:
+        raise DomainError("invalid_table", str(exc)) from exc
 
 
 # --- subcommand handlers ---
@@ -181,10 +191,7 @@ def cmd_classify_roots(args):
 
 
 def cmd_semigroup(args):
-    try:
-        table = _semigroup_table_from_args(args)
-    except TableError as exc:
-        raise DomainError("invalid_table", str(exc)) from exc
+    table = _semigroup_table_from_args(args)
     subs = semigroup.find_subgroups(table, all_subgroups=args.all_subgroups)
     payload = {
         "order": table.order,
@@ -199,10 +206,7 @@ def cmd_semigroup(args):
 
 
 def cmd_rep(args):
-    try:
-        table = _semigroup_table_from_args(args)
-    except TableError as exc:
-        raise DomainError("invalid_table", str(exc)) from exc
+    table = _semigroup_table_from_args(args)
     subs = semigroup.find_subgroups(table)
     record = next((s for s in subs if s.identity == args.identity), None)
     if record is None:
@@ -261,7 +265,11 @@ def cmd_semivec(args):
             raise DomainError("missing_input", "lattice-check needs --lattice")
         raw = args.lattice
         data = _load_json(raw) if raw.endswith(".json") else json.loads(raw)
-        join, meet = semivector.lattice_tables_from_json(data)
+        if _checked(data, {}, "lattice").get("kind") == "chain":
+            join, meet = semivector.chain_tables(_checked(data, {"size": int}, "lattice")["size"])
+        else:
+            tables = _checked(data, {"join": [[int]], "meet": [[int]]}, "lattice")
+            join, meet = tables["join"], tables["meet"]
         result = semivector.lattice_semivector_check(join, meet)
         pretty = "semivector space over C_2" if result.ok else f"fails {result.axiom}"
         _print_report(args, result.to_json(), CITATIONS["semivec"], pretty)
@@ -271,13 +279,14 @@ def cmd_semivec(args):
     sf = _semifield_from_args(args)
     vectors = _tuples_from_text(sf, args.vectors)
     scalars = _parse_int_list(args.scalars) if args.scalars else None
+    if args.action in ("span", "enumerate"):
+        if not args.target:
+            raise DomainError("missing_input", f"{args.action} needs --target")
+        target = semivector.SemivectorTuple(sf, tuple(_parse_int_list(args.target)))
     if args.action == "independent":
         payload = semivector.independence_check(vectors, scalars).to_json()
         pretty = "independent" if payload["independent"] else "dependent"
     elif args.action == "span":
-        if not args.target:
-            raise DomainError("missing_input", "span needs --target")
-        target = semivector.SemivectorTuple(sf, tuple(_parse_int_list(args.target)))
         payload = semivector.span_membership(target, vectors, scalars).to_json()
         pretty = "member" if payload["member"] else "not a member"
     elif args.action == "spans":
@@ -290,9 +299,6 @@ def cmd_semivec(args):
         payload = semivector.spans_space(vectors, space, scalars).to_json()
         pretty = "spans" if payload["spans"] else f"missing {payload['missing']}"
     elif args.action == "enumerate":
-        if not args.target:
-            raise DomainError("missing_input", "enumerate needs --target")
-        target = semivector.SemivectorTuple(sf, tuple(_parse_int_list(args.target)))
         reps = semivector.enumerate_representations(target, vectors, scalars)
         payload = {"count": len(reps), "representations": [list(r) for r in reps]}
         pretty = f"{len(reps)} representation(s)"
@@ -346,14 +352,10 @@ def cmd_golden(args):
         + (f" ({r.detail})" if r.detail else "")
         for r in results
     )
-    failed = [r for r in results if not r.passed]
-    if failed:
-        report = {"status": "error", "payload": payload,
-                  "citations": [r.anchor for r in results]}
-        print(pretty if args.pretty else json.dumps(report, sort_keys=True, separators=(",", ":")))
-        return 1
-    _print_report(args, payload, [r.anchor for r in results], pretty)
-    return 0
+    failed = not all(r.passed for r in results)
+    _print_report(args, payload, [r.anchor for r in results], pretty,
+                  "error" if failed else "ok")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,12 +465,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def _print_error(args, reason: str, message: str) -> None:
-    report = {
-        "status": "error",
-        "payload": {"reason": reason, "message": message},
-        "citations": CITATIONS.get(args.command, []),
-    }
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    payload = {"reason": reason, "message": message}
+    _print_report(args, payload, CITATIONS.get(args.command, []), status="error")
 
 
 def main(argv=None) -> int:
@@ -480,7 +478,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         _print_error(args, exc.reason, str(exc))
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         _print_error(args, "domain_error", f"{type(exc).__name__}: {exc}")
         return 1
     except AssertionError as exc:

@@ -195,7 +195,7 @@ def _first_positive_power(a: Matrix, limit: int) -> int | None:
     return None
 
 
-def closed_solve(a: Matrix, best_policy=None) -> LeontiefSolution:
+def closed_solve(a: Matrix) -> LeontiefSolution:
     """Equilibria of Ap = p: the exact nullspace of I - A.
 
     Exchange matrices take the classical path (a nonnegative equilibrium
@@ -203,13 +203,11 @@ def closed_solve(a: Matrix, best_policy=None) -> LeontiefSolution:
     anything else takes the relaxed path, where no equilibrium may exist
     and multiple independent ones are resolved by the deterministic
     best-solution policy (least negative mass, then largest sum after
-    1-norm normalization, then lexicographic order).  ``best_policy``
-    overrides that default: it receives the list of normalized candidate
-    vectors and returns the chosen one.
+    1-norm normalization, then lexicographic order).
     """
     dim = len(a)
-    if any(len(row) != dim for row in a):
-        raise ValueError("closed model needs a square matrix")
+    if dim == 0 or any(len(row) != dim for row in a):
+        raise ValueError("closed model needs a nonempty square matrix")
     system = ratmat.sub(ratmat.identity(dim), a)
     basis = tuple(ratmat.nullspace(system))
     for b in basis:
@@ -262,13 +260,10 @@ def closed_solve(a: Matrix, best_policy=None) -> LeontiefSolution:
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)
-    if best_policy is not None:
-        best = best_policy(list(candidates))
-    else:
-        best = min(
-            candidates,
-            key=lambda c: (sum(max(Fraction(0), -x) for x in c), -sum(c), c),
-        )
+    best = min(
+        candidates,
+        key=lambda c: (sum(max(Fraction(0), -x) for x in c), -sum(c), c),
+    )
     return LeontiefSolution(
         model="closed",
         path="smarandache",

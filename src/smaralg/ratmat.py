@@ -206,7 +206,10 @@ def frac_from_json(x) -> Fraction:
     if isinstance(x, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise ValueError("floats are not accepted; use 'p/q' strings")
     raise ValueError(f"cannot read a rational from {x!r}")

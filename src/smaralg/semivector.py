@@ -535,11 +535,3 @@ def chain_tables(m: int):
     meet = [[min(a, b) for b in range(m)] for a in range(m)]
     return join, meet
 
-
-def lattice_tables_from_json(data: dict):
-    """Read {"kind":"chain","size":m} or {"join":[[...]],"meet":[[...]]}."""
-    if data.get("kind") == "chain":
-        return chain_tables(int(data["size"]))
-    if "join" in data and "meet" in data:
-        return data["join"], data["meet"]
-    raise ValueError("lattice JSON needs kind=chain or explicit join/meet tables")

@@ -380,6 +380,41 @@ class TestEconCli:
             main(["markov", "--matrix", "--state", "1,0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command", [["markov", "--state", "1,0"], ["leontief", "--model", "closed"]]
+    )
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ("5", "matrix must be list"),
+            ("[1,2]", "matrix[0] must be list"),
+            ('{"entries": 5}', "matrix.entries must be list"),
+            ('{"1": 0}', "matrix needs the key 'entries'"),
+            ('{"entries": [[1, "1/0"]]}', "zero denominator"),
+        ],
+    )
+    def test_ill_shaped_matrix_file_is_domain_error(self, capsys, tmp_path, command, text, path):
+        file = tmp_path / "m.json"
+        file.write_text(text)
+        code, out = run(capsys, *command, "--file", str(file))
+        report = json.loads(out)
+        assert code == 1 and out.count("\n") == 1
+        assert report["payload"]["reason"] == "domain_error"
+        assert path in report["payload"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["markov", "--matrix", "1/0,0;0,1", "--state", "1,0"],
+            ["markov", "--matrix", "1,0;0,1", "--state", "1/0,0"],
+            ["leontief", "--model", "open", "--matrix", "0,0;0,0", "--demand", "3/0,1"],
+        ],
+    )
+    def test_zero_denominator_is_domain_error(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 1 and out.count("\n") == 1
+        assert json.loads(out)["payload"]["reason"] == "domain_error"
+
     def test_open_needs_demand(self, capsys):
         code, report = run_json(
             capsys, "leontief", "--model", "open", "--matrix", "0,0;0,0"
@@ -429,6 +464,24 @@ class TestSemivecLattice:
             capsys, "semivec", "--action", "lattice-check", "--lattice", str(path)
         )
         assert code == 0 and report["payload"]["ok"]
+
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ("5", "lattice must be dict"),
+            ("[1]", "lattice must be dict"),
+            ('{"join":5,"meet":5}', "lattice.join must be list"),
+            ('{"join":[["a"]],"meet":[["a"]]}', "lattice.join[0][0] must be int"),
+            ('{"kind":"chain","size":true}', "lattice.size must be int, not bool"),
+            ('{"kind":"chain","size":1.5}', "lattice.size must be int, not float"),
+        ],
+    )
+    def test_ill_shaped_lattice_is_domain_error(self, capsys, text, path):
+        code, out = run(capsys, "semivec", "--action", "lattice-check", "--lattice", text)
+        report = json.loads(out)
+        assert code == 1 and out.count("\n") == 1
+        assert report["payload"]["reason"] == "domain_error"
+        assert path in report["payload"]["message"]
 
     def test_missing_lattice(self, capsys):
         code, report = run_json(capsys, "semivec", "--action", "lattice-check")

@@ -154,12 +154,13 @@ class TestClosedModel:
         with pytest.raises(ValueError):
             closed_solve(m([[1, 0]]))
 
-    def test_best_policy_override(self):
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            closed_solve(m([]))
+
+    def test_best_policy_default(self):
         a = m([[1, 1], [0, "1/2"]])
-        flipped = closed_solve(a, best_policy=lambda cands: min(cands))
-        assert flipped.best == (Fraction(-1), Fraction(0))
-        default = closed_solve(a)
-        assert default.best == (Fraction(1), Fraction(0))
+        assert closed_solve(a).best == (Fraction(1), Fraction(0))
 
 
 
