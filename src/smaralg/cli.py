@@ -207,10 +207,9 @@ def cmd_semigroup(args):
 
 def cmd_rep(args):
     table = _semigroup_table_from_args(args)
-    subs = semigroup.find_subgroups(table)
-    record = next((s for s in subs if s.identity == args.identity), None)
-    if record is None:
+    if args.identity not in table.idempotents():
         raise DomainError("no_subgroup", f"no maximal subgroup at idempotent {args.identity}")
+    record = semigroup.maximal_subgroup_at(table, args.identity)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     rep = semigroup.regular_representation(record, side)
     payload = {"representation": rep.to_json(), "side": args.side}

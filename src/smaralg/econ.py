@@ -246,22 +246,20 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
         return LeontiefSolution(
             model="closed", path="smarandache", basis=(), no_equilibrium=True
         )
-    candidates = []
-    seen = set()
-    for weights in itertools.product(range(-2, 3), repeat=len(basis)):
-        cand = [Fraction(0)] * dim
-        for w, b in zip(weights, basis):
-            for i, x in enumerate(b):
-                cand[i] += w * x
-        norm = sum(abs(x) for x in cand)
-        if norm == 0:
-            continue
-        cand = tuple(x / norm for x in cand)
-        if cand not in seen:
-            seen.add(cand)
-            candidates.append(cand)
+
+    def normalized_grid():
+        for weights in itertools.product(range(-2, 3), repeat=len(basis)):
+            cand = [Fraction(0)] * dim
+            for w, b in zip(weights, basis):
+                for i, x in enumerate(b):
+                    cand[i] += w * x
+            norm = sum(abs(x) for x in cand)
+            if norm:
+                yield tuple(x / norm for x in cand)
+
+    # the key ends with the candidate, so repeats cannot change the minimum
     best = min(
-        candidates,
+        normalized_grid(),
         key=lambda c: (sum(max(Fraction(0), -x) for x in c), -sum(c), c),
     )
     return LeontiefSolution(

@@ -12,7 +12,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import intpoly, ratmat
@@ -233,6 +233,16 @@ def make_representation(subgroup: SubgroupRecord, matrices: dict[int, Matrix]) -
     return Representation(subgroup=subgroup, degree=degree, matrices=matrices)
 
 
+def _permutation_matrix(f, points) -> Matrix:
+    """The matrix sending the indicator at p to the indicator at f(p), on
+    the indicators of the points in their given order."""
+    index = {p: i for i, p in enumerate(points)}
+    m = [[Fraction(0)] * len(points) for _ in points]
+    for p in points:
+        m[index[f(p)]][index[p]] = Fraction(1)
+    return tuple(tuple(row) for row in m)
+
+
 def regular_representation(subgroup: SubgroupRecord, side: Side) -> Representation:
     """Permutation matrices of the translation action on functions.
 
@@ -241,20 +251,12 @@ def regular_representation(subgroup: SubgroupRecord, side: Side) -> Representati
     (built from f(z) -> f(zx)) sends it to the one at w*x^-1, which is
     what makes the map a homomorphism.
     """
-    elems = subgroup.elements
-    index = {w: i for i, w in enumerate(elems)}
-    h = len(elems)
-    matrices = {}
-    for x in elems:
-        m = [[Fraction(0)] * h for _ in range(h)]
-        for w in elems:
-            if side is Side.LEFT:
-                target = subgroup.mul(x, w)
-            else:
-                target = subgroup.mul(w, subgroup.inverse(x))
-            m[index[target]][index[w]] = Fraction(1)
-        matrices[x] = tuple(tuple(row) for row in m)
-    return make_representation(subgroup, matrices)
+    if side is Side.LEFT:
+        action = subgroup.mul
+    else:
+        def action(x, w):
+            return subgroup.mul(w, subgroup.inverse(x))
+    return permutation_representation(subgroup, action, subgroup.elements)
 
 
 def permutation_representation(subgroup: SubgroupRecord, action, points) -> Representation:
@@ -264,7 +266,6 @@ def permutation_representation(subgroup: SubgroupRecord, action, points) -> Repr
     reported with a witness.  Basis: indicators of the sorted points.
     """
     pts = sorted(points)
-    index = {p: i for i, p in enumerate(pts)}
     for x in subgroup.elements:
         image = [action(x, p) for p in pts]
         if sorted(image, key=str) != sorted(pts, key=str) or len(set(map(str, image))) != len(pts):
@@ -277,13 +278,10 @@ def permutation_representation(subgroup: SubgroupRecord, action, points) -> Repr
                         f"action is not a homomorphism at (x,y,p) = ({x},{y},{p})",
                         (x, y, p),
                     )
-    matrices = {}
-    for x in subgroup.elements:
-        m = [[Fraction(0)] * len(pts) for _ in range(len(pts))]
-        for p in pts:
-            m[index[action(x, p)]][index[p]] = Fraction(1)
-        matrices[x] = tuple(tuple(row) for row in m)
-    return make_representation(subgroup, matrices)
+    return make_representation(
+        subgroup,
+        {x: _permutation_matrix(functools.partial(action, x), pts) for x in subgroup.elements},
+    )
 
 
 def trivial_representation(subgroup: SubgroupRecord) -> Representation:
@@ -298,15 +296,9 @@ def left_right_intertwiner(left: Representation, right: Representation) -> Matri
     subgroup = left.subgroup
     if subgroup != right.subgroup:
         raise ValueError("the representations are over different subgroups")
-    elems = subgroup.elements
-    index = {w: i for i, w in enumerate(elems)}
-    h = len(elems)
-    t = [[Fraction(0)] * h for _ in range(h)]
-    for a in elems:
-        t[index[subgroup.inverse(a)]][index[a]] = Fraction(1)
-    t = tuple(tuple(row) for row in t)
-    assert ratmat.rank(t) == h, "intertwiner must be invertible"
-    for x in elems:
+    t = _permutation_matrix(subgroup.inverse, subgroup.elements)
+    assert ratmat.rank(t) == subgroup.order, "intertwiner must be invertible"
+    for x in subgroup.elements:
         lhs = ratmat.mat_mul(t, right.matrix(x))
         rhs = ratmat.mat_mul(left.matrix(x), t)
         assert lhs == rhs, f"intertwining identity fails at {x}"
@@ -533,11 +525,7 @@ def decompose_invariants(rep: Representation) -> list[InvariantBlock]:
     """
     if rep.degree > 8:
         raise ValueError("decomposition is limited to degree <= 8")
-    full = [
-        tuple(Fraction(1 if i == j else 0) for i in range(rep.degree))
-        for j in range(rep.degree)
-    ]
-    blocks = _decompose(rep, full)
+    blocks = _decompose(rep)
     stacked = ratmat.mat([v for b in blocks for v in b.basis])
     assert ratmat.rank(stacked) == rep.degree, "blocks must span the whole space"
     return blocks
@@ -587,15 +575,16 @@ def _split_candidates(commutant):
             yield m
 
 
-def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]:
-    subdim = len(basis)
-    restricted = _restrict(rep, basis)
-    sub_rep = Representation(subgroup=rep.subgroup, degree=subdim, matrices=restricted)
-    commutant = _intertwiner_space(restricted, restricted, rep.subgroup)
+def _decompose(rep: Representation) -> list[InvariantBlock]:
+    """The blocks of rep, with bases in rep's coordinates: each part of a
+    split recurses in the coordinates of its own basis, and its blocks
+    are mapped back through that basis."""
+    dim = rep.degree
+    commutant = _intertwiner_space(rep.matrices, rep.matrices, rep.subgroup)
     if len(commutant) == 1:
         return [
             InvariantBlock(
-                basis=tuple(basis), irreducible=True, certificate="commutant_scalars"
+                basis=ratmat.identity(dim), irreducible=True, certificate="commutant_scalars"
             )
         ]
     field_evidence = False
@@ -613,12 +602,18 @@ def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]
         for g in factors:
             evaluated = _matrix_poly([Fraction(c) for c in g], scaled)
             kernel = ratmat.nullspace(evaluated)
-            if 0 < len(kernel) < subdim:
-                p0 = projection_onto(kernel, subdim)
-                _, complement = _invariant_projection(sub_rep, kernel, p0)
-                w_orig = [_lift(basis, w) for w in kernel]
-                z_orig = [_lift(basis, z) for z in complement]
-                return _decompose(rep, w_orig) + _decompose(rep, z_orig)
+            if 0 < len(kernel) < dim:
+                p0 = projection_onto(kernel, dim)
+                _, complement = _invariant_projection(rep, kernel, p0)
+                blocks = []
+                for part in (kernel, complement):
+                    child = Representation(rep.subgroup, len(part), _restrict(rep, part))
+                    lift = ratmat.transpose(part)
+                    blocks += [
+                        replace(b, basis=tuple(ratmat.mat_vec(lift, v) for v in b.basis))
+                        for b in _decompose(child)
+                    ]
+                return blocks
         # the powers of cand span a subalgebra as large as the commutant,
         # so the commutant is Q[x]/(minp), a field (minp irreducible): no
         # idempotents, hence no invariant splitting exists at all
@@ -631,15 +626,8 @@ def _decompose(rep: Representation, basis: list[Vector]) -> list[InvariantBlock]
             break
     return [
         InvariantBlock(
-            basis=tuple(basis),
+            basis=ratmat.identity(dim),
             irreducible=True,
             certificate="commutant_field" if field_evidence else "candidate_pool_exhausted",
         )
     ]
-
-
-def _lift(basis: list[Vector], coords: Vector) -> Vector:
-    dim = len(basis[0])
-    return tuple(
-        sum(c * b[i] for c, b in zip(coords, basis)) for i in range(dim)
-    )

@@ -3,16 +3,21 @@
 Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
 search, the separate Z_q and rational Gauss-Jordan loops that the one
-elimination kernel in ``smaralg.ratmat`` replaced, and the intertwiner
-space solved from its defining linear constraints.
+elimination kernel in ``smaralg.ratmat`` replaced, the intertwiner
+space solved from its defining linear constraints, the invariant
+decomposition with every block re-expressed in the coordinates of the
+whole space, and the lattice check that tests every semivector axiom.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
-from smaralg import ratmat
+from smaralg import intpoly, ratmat, semigroup
 from smaralg.ringcore import SubfieldRejection, certify_subfield
+from smaralg.semivector import LatticeCheck
 
 
 def subfield_oracle(n: int):
@@ -141,3 +146,99 @@ def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):
         tuple(tuple(v[i * d1 + j] for j in range(d1)) for i in range(d2))
         for v in basis
     ]
+
+
+def decompose_whole_space(rep):
+    """decompose_invariants by recursion on bases of subspaces of the whole
+    space: each step restricts the original action to the current basis
+    (starting from the standard one) and lifts the split parts back to
+    the whole space before recursing on them."""
+    dim = rep.degree
+    return _decompose_in(rep, list(ratmat.identity(dim)))
+
+
+def _lift(basis, coords):
+    return tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(len(basis[0])))
+
+
+def _decompose_in(rep, basis):
+    subdim = len(basis)
+    restricted = semigroup._restrict(rep, basis)
+    sub_rep = semigroup.Representation(rep.subgroup, subdim, restricted)
+    commutant = semigroup._intertwiner_space(restricted, restricted, rep.subgroup)
+    block = functools.partial(semigroup.InvariantBlock, tuple(basis), True)
+    if len(commutant) == 1:
+        return [block("commutant_scalars")]
+    for cand in semigroup._split_candidates(commutant):
+        scaled = semigroup._integer_scaled(cand)
+        minp = ratmat.min_poly(scaled)
+        if any(c.denominator != 1 for c in minp) or len(minp) <= 2:
+            continue
+        try:
+            factors = intpoly.factor_monic([int(c) for c in minp])
+        except ValueError:
+            continue
+        for g in factors:
+            kernel = ratmat.nullspace(semigroup._matrix_poly([Fraction(c) for c in g], scaled))
+            if 0 < len(kernel) < subdim:
+                p0 = semigroup.projection_onto(kernel, subdim)
+                _, complement = semigroup._invariant_projection(sub_rep, kernel, p0)
+                return _decompose_in(rep, [_lift(basis, w) for w in kernel]) + _decompose_in(
+                    rep, [_lift(basis, z) for z in complement]
+                )
+        if len(factors) == 1 and len(minp) - 1 == len(commutant):
+            return [block("commutant_field")]
+    return [block("candidate_pool_exhausted")]
+
+
+def lattice_check_all_axioms(join, meet) -> LatticeCheck:
+    """lattice_semivector_check that, after the lattice laws, searches for
+    bottom and top and tests every semivector axiom for the scalars
+    {bottom, top} acting by meet, each exhaustively."""
+    m = len(join)
+    if m == 0 or len(meet) != m or any(len(r) != m for r in join + meet):
+        raise ValueError("join/meet tables must be square and equal-sized")
+    if any(not 0 <= x < m for r in join + meet for x in r):
+        raise ValueError("table entry out of range")
+    elems = range(m)
+    for name, op in (("join", join), ("meet", meet)):
+        for a in elems:
+            if op[a][a] != a:
+                return LatticeCheck(False, f"{name}_idempotent", (a,))
+            for b in elems:
+                if op[a][b] != op[b][a]:
+                    return LatticeCheck(False, f"{name}_commutative", (a, b))
+                for c in elems:
+                    if op[op[a][b]][c] != op[a][op[b][c]]:
+                        return LatticeCheck(False, f"{name}_associative", (a, b, c))
+    for a, b in itertools.product(elems, repeat=2):
+        if join[a][meet[a][b]] != a:
+            return LatticeCheck(False, "absorption_join", (a, b))
+        if meet[a][join[a][b]] != a:
+            return LatticeCheck(False, "absorption_meet", (a, b))
+    bottom = next((b for b in elems if all(join[b][x] == x for x in elems)), None)
+    top = next((t for t in elems if all(meet[t][x] == x for x in elems)), None)
+    if bottom is None or top is None:
+        return LatticeCheck(False, "bounded", None)
+    scalars = (bottom, top)
+    for a in elems:
+        if join[bottom][a] != a:
+            return LatticeCheck(False, "additive_zero", (a,))
+    for s, a in itertools.product(scalars, elems):
+        if not 0 <= meet[s][a] < m:
+            return LatticeCheck(False, "scalar_closure", (s, a))
+    for a in elems:
+        if meet[bottom][a] != bottom:
+            return LatticeCheck(False, "zero_scalar_annihilates", (a,))
+        if meet[top][a] != a:
+            return LatticeCheck(False, "unit_scalar_identity", (a,))
+    for s, t in itertools.product(scalars, repeat=2):
+        for a in elems:
+            if meet[meet[s][t]][a] != meet[s][meet[t][a]]:
+                return LatticeCheck(False, "scalar_associativity", (s, t, a))
+            if meet[join[s][t]][a] != join[meet[s][a]][meet[t][a]]:
+                return LatticeCheck(False, "scalar_sum_distributes", (s, t, a))
+        for b, a in itertools.product(elems, repeat=2):
+            if meet[s][join[a][b]] != join[meet[s][a]][meet[s][b]]:
+                return LatticeCheck(False, "vector_sum_distributes", (s, a, b))
+    return LatticeCheck(True)

@@ -313,6 +313,17 @@ class TestSemivecCli:
         )
         assert code == 1 and report["payload"]["reason"] == "missing_input"
 
+    def test_negative_scalars_rejected(self, capsys):
+        # 1 = -1*1 + 1*2 is no combination over the nonnegative integers
+        code, report = run_json(
+            capsys, "semivec", "--action", "span", "--vectors", "1;2", "--target", "1",
+            "--scalars=-1,1",
+        )
+        assert code == 1 and report["payload"] == {
+            "reason": "domain_error",
+            "message": "ValueError: scalar -1 outside the nonnegative integers",
+        }
+
 
 class TestEconCli:
     def test_markov(self, capsys):

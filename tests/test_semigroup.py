@@ -27,7 +27,7 @@ from smaralg.semigroup import (
     validate_table,
 )
 
-from reference_algebra import intertwiner_space_by_constraints
+from reference_algebra import decompose_whole_space, intertwiner_space_by_constraints
 
 
 def regular_pair(sub):
@@ -519,19 +519,25 @@ def _conjugation_representation(group):
 
 
 @functools.cache
-def base_representations(name):
-    """Permutation representations of a group (regular on both sides,
-    conjugation, left cosets of each proper nontrivial subgroup), each
-    also restricted to its zero-sum subspace, and the trivial ones of
-    degrees 1-3."""
+def permutation_representations(name):
+    """The regular representations of a group on both sides, conjugation,
+    and the left cosets of each proper nontrivial subgroup."""
     group = GROUPS[name]
     perms = [regular_representation(group, side) for side in Side]
     perms.append(_conjugation_representation(group))
-    perms += [
+    return perms + [
         _coset_representation(group, h)
         for h in find_subgroups(GROUP_TABLES[name], all_subgroups=True)
         if 1 < h.order < group.order
     ]
+
+
+@functools.cache
+def base_representations(name):
+    """The permutation representations of a group, each also restricted
+    to its zero-sum subspace, and the trivial ones of degrees 1-3."""
+    group = GROUPS[name]
+    perms = permutation_representations(name)
     restricted = []
     for rep in perms:
         d = rep.degree
@@ -542,6 +548,12 @@ def base_representations(name):
         restricted.append(Representation(group, d - 1, _restrict(rep, zero_sum)))
     trivial = [permutation_representation(group, lambda x, p: p, range(k)) for k in (1, 2, 3)]
     return perms + restricted + trivial
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLES))
+def test_decomposition_matches_whole_space_recursion(name):
+    for rep in permutation_representations(name):
+        assert decompose_invariants(rep) == decompose_whole_space(rep)
 
 
 @st.composite

@@ -23,6 +23,8 @@ from smaralg.semivector import (
     spans_space,
 )
 
+from reference_algebra import lattice_check_all_axioms
+
 NN = NonNegIntegers()
 
 
@@ -167,7 +169,7 @@ FIXED_PROBLEMS = [
     # an empty generator list, zero and nonzero target
     ([], (0, 0), None, None),
     ([], (1,), [0, 1], 5),
-    # negative scalars over the integers
+    # negative scalars over the integers, rejected
     ([(1,), (2,)], (1,), [1, -1, 0], None),
     # a scalar outside the chain's carrier
     ([(2,), (1,)], (3,), [0, 7], 4),
@@ -439,6 +441,69 @@ class TestLatticeChecker:
             lattice_semivector_check([[0, 1]], [[0]])
         with pytest.raises(ValueError):
             lattice_semivector_check([[7]], [[0]])
+
+
+@st.composite
+def set_lattices(draw):
+    """Join/meet tables of the closure of some subsets of {0, 1, 2, 3}
+    under union and intersection, in a drawn order, with one entry
+    perhaps overwritten."""
+    family = {frozenset(x) for x in draw(st.lists(st.sets(st.integers(0, 3)), min_size=1, max_size=6))}
+    while True:
+        closed = family | {a | b for a in family for b in family} | {
+            a & b for a in family for b in family
+        }
+        if closed == family:
+            break
+        family = closed
+    elems = draw(st.permutations(sorted(family, key=sorted)))
+    index = {x: i for i, x in enumerate(elems)}
+    join = [[index[a | b] for b in elems] for a in elems]
+    meet = [[index[a & b] for b in elems] for a in elems]
+    if draw(st.booleans()):
+        table = draw(st.sampled_from([join, meet]))
+        m = len(elems)
+        table[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] = draw(
+            st.integers(0, m - 1)
+        )
+    return join, meet
+
+
+@st.composite
+def random_tables(draw):
+    """Two m x m tables, 1 <= m <= 4, with random entries; half of the
+    time both are commutative and idempotent."""
+    m = draw(st.integers(1, 4))
+    symmetric = draw(st.booleans())
+    tables = []
+    for _ in range(2):
+        t = [[draw(st.integers(0, m - 1)) for _ in range(m)] for _ in range(m)]
+        if symmetric:
+            t = [[a if a == b else t[min(a, b)][max(a, b)] for b in range(m)] for a in range(m)]
+        tables.append(t)
+    return tuple(tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_lattices() | random_tables())
+def test_lattice_check_matches_all_axiom_oracle(tables):
+    assert lattice_semivector_check(*tables) == lattice_check_all_axioms(*tables)
+
+
+def commutative_idempotent_tables(m):
+    off_diagonal = list(itertools.combinations(range(m), 2))
+    for values in itertools.product(range(m), repeat=len(off_diagonal)):
+        t = [[a] * m for a in range(m)]
+        for (a, b), v in zip(off_diagonal, values):
+            t[a][b] = t[b][a] = v
+        yield t
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lattice_check_matches_all_axiom_oracle_exhaustively(m):
+    tables = list(commutative_idempotent_tables(m))
+    for join, meet in itertools.product(tables, repeat=2):
+        assert lattice_semivector_check(join, meet) == lattice_check_all_axioms(join, meet)
 
 
 def test_tuple_validation():
