@@ -5,6 +5,8 @@ prime_field(q) for Z_q); echelon forms use the first nonzero pivot and
 nullspace bases set free variables to one in ascending column order.
 The rest is rational matrix arithmetic on tuples of row tuples of
 Fractions, shared by the representation and economic-model modules.
+Products and elimination row updates skip zero entries, so the sparse
+and permutation matrices of the representation layer cost little.
 Everything returns canonical forms, so results are byte-stable.
 """
 
@@ -56,15 +58,27 @@ def scale(c, m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Each row of a times b, accumulated from the nonzero entries of the
+    row and of b's matching rows only: a product of permutation matrices
+    costs d multiplications, not d³."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * cols
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v) -> Vector:
     v = vec(v)
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(
+        sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a
+    )
 
 
 class Field(NamedTuple):
@@ -106,7 +120,9 @@ def rref(m, field: Field = Q):
         for i in range(rows):
             f = work[i][c]
             if i != r and f != 0:
-                work[i] = reduce([x - f * y for x, y in zip(work[i], pivot_row)])
+                work[i] = reduce(
+                    [x - f * y if y else x for x, y in zip(work[i], pivot_row)]
+                )
         pivots.append(c)
         r += 1
         if r == rows:

@@ -549,7 +549,10 @@ def _matrix_poly(coeffs, m: Matrix) -> Matrix:
     acc = ratmat.zeros(dim, dim)
     for c in reversed(coeffs):
         acc = ratmat.mat_mul(acc, m)
-        acc = ratmat.add(acc, ratmat.scale(c, ratmat.identity(dim)))
+        acc = tuple(
+            tuple(x + c if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(acc)
+        )
     return acc
 
 

@@ -3,7 +3,8 @@
 Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
 search, the separate Z_q and rational Gauss-Jordan loops that the one
-elimination kernel in ``smaralg.ratmat`` replaced, the intertwiner
+elimination kernel in ``smaralg.ratmat`` replaced, the dense matrix
+products that ratmat's zero-skipping ones replaced, the intertwiner
 space solved from its defining linear constraints, the invariant
 decomposition with every block re-expressed in the coordinates of the
 whole space, and the lattice check that tests every semivector axiom.
@@ -124,6 +125,17 @@ def rat_solve(a, b):
     for r, c in enumerate(pivots):
         x[c] = reduced[r][cols]
     return tuple(x)
+
+
+def dense_mat_mul(a, b):
+    """Row-by-column product over every entry: d³ multiply-adds."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def dense_mat_vec(a, v):
+    v = [Fraction(x) for x in v]
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):

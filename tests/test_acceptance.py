@@ -438,8 +438,8 @@ def test_criterion_14_regular_decomposition():
 
     c8 = validate_table([[(i + j) % 8 for j in range(8)] for i in range(8)])
     for label, table, limit, dims in (
-        ("C_8", c8, 1.0, [1, 1, 2, 4]),
-        ("Q8", _q8_table(), 0.7, [1, 1, 1, 1, 4]),
+        ("C_8", c8, 0.5, [1, 1, 2, 4]),
+        ("Q8", _q8_table(), 0.3, [1, 1, 1, 1, 4]),
     ):
         rep = regular_representation(find_subgroups(table)[0], Side.LEFT)
         with Timer(limit, f"criterion 14: {label} regular representation decomposed"):

@@ -1,8 +1,10 @@
-"""The one Gauss-Jordan kernel in ratmat, over Z_q and over Q.
+"""The one Gauss-Jordan kernel in ratmat, over Z_q and over Q, and the
+zero-skipping matrix products.
 
-Cross-checked on hypothesis-generated matrices (empty, zero, non-square,
-rank-deficient, unreduced mod q) against the separate Z_q and rational
-loops it replaced, kept in reference_algebra.
+Cross-checked on hypothesis-generated matrices (empty, zero, mostly
+zero, non-square, rank-deficient, unreduced mod q) against the separate
+Z_q and rational loops it replaced and against the dense products, all
+kept in reference_algebra.
 """
 
 from fractions import Fraction
@@ -11,19 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import rat_det, rat_rref, rat_solve, rref_mod
+from reference_algebra import dense_mat_mul, dense_mat_vec, rat_det, rat_rref, rat_solve, rref_mod
 from smaralg import ratmat, semigroup
 from smaralg.semigroup import Side, find_subgroups, regular_representation, validate_table
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
+def mostly_zero(entries):
+    """Zero three times in four, otherwise an entry drawn from entries."""
+    return st.integers(0, 3).flatmap(lambda k: entries if k == 0 else st.just(0))
+
+
 @st.composite
 def matrices(draw, entries, max_rows=6, max_cols=7):
     """Row lists of equal length; some rows are combinations of earlier
-    ones, so rank deficiency is common."""
+    ones, so rank deficiency is common.  Some matrices are mostly zeros,
+    so row updates often meet zero entries of the pivot row."""
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
+    if draw(st.booleans()):
+        entries = mostly_zero(entries)
     m = []
     for _ in range(rows):
         if m and draw(st.booleans()):
@@ -203,3 +213,67 @@ def test_projection_onto_eliminates_once(dim, eliminations):
     assert ratmat.mat_mul(p, p) == p
     for v in w:
         assert ratmat.mat_vec(p, v) == v
+
+
+def all_fractions(xs) -> bool:
+    return all(type(x) is Fraction for x in xs)
+
+
+@st.composite
+def factors(draw, rows, cols):
+    """A rows x cols rational matrix: all zero, a permutation matrix (when
+    square), mostly zero or dense."""
+    kinds = ["zero", "sparse", "dense"] + ["permutation"] * (rows == cols)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "permutation":
+        image = draw(st.permutations(range(rows)))
+        return ratmat.mat([[int(j == image[i]) for j in range(cols)] for i in range(rows)])
+    entries = {"zero": st.just(0), "sparse": mostly_zero(rationals), "dense": rationals}[kind]
+    return ratmat.mat([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+sizes = st.integers(0, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_product(data):
+    """Empty, 1 x n, n x 1, zero, permutation, mostly-zero and dense
+    factors, square ones often, so permutation times permutation is
+    common."""
+    if data.draw(st.booleans()):
+        rows = inner = cols = data.draw(sizes)
+    else:
+        rows, inner, cols = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(factors(rows, inner)), data.draw(factors(inner, cols))
+    got = ratmat.mat_mul(a, b)
+    assert got == dense_mat_mul(a, b)
+    assert all(all_fractions(row) for row in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, sizes, st.data())
+def test_mat_vec_matches_dense_product(rows, cols, data):
+    a = data.draw(factors(rows, cols))
+    v = data.draw(factors(1, cols))[0] if cols else ()
+    got = ratmat.mat_vec(a, v)
+    assert got == dense_mat_vec(a, v)
+    assert all_fractions(got)
+
+
+def test_permutation_product_multiplies_only_nonzero_entries():
+    products = []
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            products.append(1)
+            return super().__mul__(other)
+
+    def permutation(f):
+        return tuple(tuple(Counted(int(j == f(i))) for j in range(8)) for i in range(8))
+
+    a, b = permutation(lambda i: (3 * i + 1) % 8), permutation(lambda i: (5 * i + 2) % 8)
+    got = ratmat.mat_mul(a, b)
+    assert len(products) <= 8
+    # row i of a picks row 3i+1 of b, whose one is in column 5(3i+1)+2
+    assert got == ratmat.mat([[int(j == (15 * i + 7) % 8) for j in range(8)] for i in range(8)])

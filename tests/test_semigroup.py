@@ -673,3 +673,17 @@ class TestIntertwinerSpace:
         assert len(solves) == 8
         for d, rows in solves:
             assert len(rows) == 1 and rows[0] <= d * d, (d, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_matrix_poly_is_horner_with_scaled_identity(dim, data):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    m = ratmat.mat([[data.draw(small) for _ in range(dim)] for _ in range(dim)])
+    coeffs = data.draw(st.lists(small, max_size=5))
+    expected = ratmat.zeros(dim, dim)
+    for c in reversed(coeffs):
+        expected = ratmat.add(ratmat.mat_mul(expected, m), ratmat.scale(c, ratmat.identity(dim)))
+    got = semigroup._matrix_poly(coeffs, m)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
