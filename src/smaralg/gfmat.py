@@ -8,19 +8,6 @@ field-generic kernel in ratmat, run over ratmat.prime_field(q).
 from __future__ import annotations
 
 
-def mat_mul_mod(a, b, q: int):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik == 0:
-                continue
-            for j in range(cols):
-                out[i][j] = (out[i][j] + aik * b[k][j]) % q
-    return out
-
-
 def charpoly_mod(a, q: int) -> list[int]:
     """Monic characteristic polynomial det(tI - A) over Z_q, ascending
     coefficients, in O(d^3): a similarity transform to upper Hessenberg

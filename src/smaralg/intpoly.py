@@ -18,14 +18,6 @@ def poly_eval(coeffs, x: int) -> int:
     return acc
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def divmod_monic(f, g):
     """Divide f by monic g over the integers; returns (quotient, remainder)."""
     assert g[-1] == 1, "divisor must be monic"

@@ -65,12 +65,6 @@ class SubfieldMatrix:
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row_lists(self) -> list[list[int]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
     def transpose(self) -> "SubfieldMatrix":
         return SubfieldMatrix.from_rows(
             self.k, [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)]
@@ -397,23 +391,24 @@ def _spectral_from_eigen(es: EigenSystem):
                 )
         return SpectralDiagnostic(reason="char_poly_does_not_split_over_k")
 
-    blocks: list[tuple[int, int]] = []  # (start, size) per eigenvalue
+    blocks: list[range] = []  # the eigenbasis columns of each eigenvalue
     columns: list[list[int]] = []
     for ev in es.s_values:
-        blocks.append((len(columns), len(ev.basis)))
+        blocks.append(range(len(columns), len(columns) + len(ev.basis)))
         for v in ev.basis:
             columns.append([k.to_prime(x) for x in v.entries])
     basis_mat = [[columns[j][i] for j in range(dim)] for i in range(dim)]
     inv = ratmat.inverse(basis_mat, ratmat.prime_field(q))
     assert inv is not None, "eigenbasis must be invertible when diagonalizable"
 
+    # E_i = B D_i B^-1 with D_i the 0/1 diagonal of eigenvalue i's columns,
+    # so E_i is those columns of B times the same rows of B^-1
     terms = []
-    for (start, size), ev in zip(blocks, es.s_values):
-        selector = [
-            [1 if (i == j and start <= i < start + size) else 0 for j in range(dim)]
+    for block, ev in zip(blocks, es.s_values):
+        e_prime = [
+            [sum(columns[t][i] * inv[t][j] for t in block) % q for j in range(dim)]
             for i in range(dim)
         ]
-        e_prime = gfmat.mat_mul_mod(gfmat.mat_mul_mod(basis_mat, selector, q), inv, q)
         terms.append((ev.value, from_prime_matrix(k, e_prime)))
 
     ident = identity_matrix(k, dim)

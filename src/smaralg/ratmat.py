@@ -6,7 +6,8 @@ nullspace bases set free variables to one in ascending column order.
 The rest is rational matrix arithmetic on tuples of row tuples of
 Fractions, shared by the representation and economic-model modules.
 Products and elimination row updates skip zero entries, so the sparse
-and permutation matrices of the representation layer cost little.
+and permutation matrices of the representation layer cost little, and
+min_poly is one elimination of the flattened powers of its matrix.
 Everything returns canonical forms, so results are byte-stable.
 """
 
@@ -75,7 +76,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v) -> Vector:
-    v = vec(v)
     return tuple(
         sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a
     )
@@ -192,25 +192,24 @@ def solve(a, bs, field: Field = Q) -> list[Vector | None]:
 def solve_in_span(basis: list[Vector], targets) -> list[Vector | None]:
     """Coordinates of each target in span(basis), or None where a target
     lies outside it."""
-    targets = [vec(t) for t in targets]
     dim = len(targets[0]) if targets else 0
     return solve([[b[i] for b in basis] for i in range(dim)], targets)
 
 
 def min_poly(m: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, ascending coefficients."""
+    """Monic minimal polynomial, ascending coefficients, from one rref of
+    the flattened powers I, M, ..., M^d as columns.  By Cayley-Hamilton
+    M^d depends on the lower powers, and once a power does every later
+    one does, so the pivots are the first k columns and column k holds
+    the coordinates of M^k in I, ..., M^(k-1)."""
     dim = len(m)
-    flats = []
-    power = identity(dim)
-    while True:
-        flat = tuple(x for row in power for x in row)
-        coords = solve_in_span(flats, [flat])[0] if flats else None
-        if flats and coords is not None:
-            return [-c for c in coords] + [Fraction(1)]
-        flats.append(flat)
-        power = mat_mul(power, m)
-        if len(flats) > dim * dim + 1:
-            raise AssertionError("minimal polynomial search failed to terminate")
+    powers = [identity(dim)]
+    for _ in range(dim):
+        powers.append(mat_mul(powers[-1], m))
+    reduced, pivots = rref(transpose([[x for row in p for x in row] for p in powers]))
+    k = len(pivots)
+    assert pivots == list(range(k)) and k <= dim, "powers must turn dependent for good"
+    return [-reduced[i][k] for i in range(k)] + [Fraction(1)]
 
 
 def frac_to_json(x: Fraction):

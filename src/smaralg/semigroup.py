@@ -318,11 +318,9 @@ def projection_onto(w_basis: list[Vector], dim: int) -> Matrix:
     aug = [[w[i] for w in w_basis] + [int(i == j) for j in range(dim)] for i in range(dim)]
     reduced, pivots = ratmat.rref(ratmat.mat(aug))
     assert pivots[:k] == list(range(k)), "could not extend the basis"
-    top = [row[k:] for row in reduced[:k]]
-    return tuple(
-        tuple(sum((w[i] * row[j] for w, row in zip(w_basis, top)), Fraction(0)) for j in range(dim))
-        for i in range(dim)
-    )
+    if not k:
+        return ratmat.zeros(dim, dim)
+    return ratmat.mat_mul(ratmat.transpose(w_basis), [row[k:] for row in reduced[:k]])
 
 
 def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
@@ -337,14 +335,13 @@ def averaged_projection(rep: Representation, w_basis, p0: Matrix) -> Matrix:
 
 
 def _invariant_projection(rep: Representation, w_basis, p0: Matrix):
-    """averaged_projection's P and the basis of ker P its checks compute."""
+    """averaged_projection's P, with W and ker P each paired with the
+    action on it that the invariance checks solve for."""
     sub = rep.subgroup
     dim = rep.degree
     w_basis = [ratmat.vec(w) for w in w_basis]
-    images = [ratmat.mat_vec(rep.matrix(x), w) for x in sub.elements for w in w_basis]
-    coords = ratmat.solve_in_span(w_basis, images)
-    if None in coords:
-        witness = sub.elements[coords.index(None) // len(w_basis)]
+    w_action, witness = _restrict(rep, w_basis)
+    if witness is not None:
         raise ValueError(f"W is not invariant: witness element {witness}")
     if ratmat.mat_mul(p0, p0) != p0:
         raise ValueError("P0 is not idempotent")
@@ -377,9 +374,26 @@ def _invariant_projection(rep: Representation, w_basis, p0: Matrix):
     assert ratmat.rank(stacked) == len(w_basis) + len(kernel) == dim, (
         "kernel must complement W"
     )
-    images = [ratmat.mat_vec(rep.matrix(x), z) for x in sub.elements for z in kernel]
-    assert None not in ratmat.solve_in_span(kernel, images), "kernel must be invariant"
-    return p, kernel
+    kernel_action, witness = _restrict(rep, kernel)
+    assert witness is None, "kernel must be invariant"
+    return p, [(w_basis, w_action), (kernel, kernel_action)]
+
+
+def _restrict(rep: Representation, basis: list[Vector]):
+    """(action, None), the matrices of the action in the coordinates of
+    span(basis), from one elimination; or (None, x) for the first
+    element x that moves a basis vector out of the span."""
+    elements = rep.subgroup.elements
+    k = len(basis)
+    images = [ratmat.mat_vec(rep.matrix(x), b) for x in elements for b in basis]
+    coords = ratmat.solve_in_span(basis, images)
+    if None in coords:
+        return None, elements[coords.index(None) // k]
+    action = {
+        x: tuple(tuple(coords[n * k + j][i] for j in range(k)) for i in range(k))
+        for n, x in enumerate(elements)
+    }
+    return action, None
 
 
 @dataclass(frozen=True)
@@ -519,9 +533,10 @@ def decompose_invariants(rep: Representation) -> list[InvariantBlock]:
     Splitting operators are drawn from the commutant (spanned by the group
     averages sum_g M(g) E_ij M(g^-1) of the elementary matrices), products
     of its basis and deterministic combinations, each built when reached;
-    a proper kernel of an irreducible factor of a candidate minimal
-    polynomial yields a split, realized with the averaged projection so
-    the complement is invariant too.
+    when a candidate's minimal polynomial has two or more irreducible
+    factors, the kernel of the first is proper and yields a split,
+    realized with the averaged projection so the complement is invariant
+    too.
     """
     if rep.degree > 8:
         raise ValueError("decomposition is limited to degree <= 8")
@@ -529,19 +544,6 @@ def decompose_invariants(rep: Representation) -> list[InvariantBlock]:
     stacked = ratmat.mat([v for b in blocks for v in b.basis])
     assert ratmat.rank(stacked) == rep.degree, "blocks must span the whole space"
     return blocks
-
-
-def _restrict(rep: Representation, basis: list[Vector]):
-    """Matrices of the action in the coordinates of an invariant subspace."""
-    elements = rep.subgroup.elements
-    k = len(basis)
-    images = [ratmat.mat_vec(rep.matrix(x), b) for x in elements for b in basis]
-    coords = ratmat.solve_in_span(basis, images)
-    assert None not in coords, "subspace must be invariant"
-    return {
-        x: tuple(tuple(coords[n * k + j][i] for j in range(k)) for i in range(k))
-        for n, x in enumerate(elements)
-    }
 
 
 def _matrix_poly(coeffs, m: Matrix) -> Matrix:
@@ -594,33 +596,30 @@ def _decompose(rep: Representation) -> list[InvariantBlock]:
     for cand in _split_candidates(commutant):
         scaled = _integer_scaled(cand)
         minp = ratmat.min_poly(scaled)
-        if any(c.denominator != 1 for c in minp):
-            continue
-        if len(minp) <= 2:
-            continue  # scalar candidates cannot split
+        assert all(c.denominator == 1 for c in minp), "an integer matrix has an integer minp"
         try:
             factors = intpoly.factor_monic([int(c) for c in minp])
         except ValueError:
             continue
-        for g in factors:
-            evaluated = _matrix_poly([Fraction(c) for c in g], scaled)
+        if len(factors) > 1:
+            # g = factors[0] properly divides minp = g h, so g(M) != 0 and
+            # h(M) != 0 by minimality, and g(M) h(M) = 0 makes g(M) singular
+            evaluated = _matrix_poly([Fraction(c) for c in factors[0]], scaled)
             kernel = ratmat.nullspace(evaluated)
-            if 0 < len(kernel) < dim:
-                p0 = projection_onto(kernel, dim)
-                _, complement = _invariant_projection(rep, kernel, p0)
-                blocks = []
-                for part in (kernel, complement):
-                    child = Representation(rep.subgroup, len(part), _restrict(rep, part))
-                    lift = ratmat.transpose(part)
-                    blocks += [
-                        replace(b, basis=tuple(ratmat.mat_vec(lift, v) for v in b.basis))
-                        for b in _decompose(child)
-                    ]
-                return blocks
+            assert 0 < len(kernel) < dim, "a proper factor of minp must split"
+            _, parts = _invariant_projection(rep, kernel, projection_onto(kernel, dim))
+            blocks = []
+            for part, action in parts:
+                lift = ratmat.transpose(part)
+                blocks += [
+                    replace(b, basis=tuple(ratmat.mat_vec(lift, v) for v in b.basis))
+                    for b in _decompose(Representation(rep.subgroup, len(part), action))
+                ]
+            return blocks
         # the powers of cand span a subalgebra as large as the commutant,
         # so the commutant is Q[x]/(minp), a field (minp irreducible): no
         # idempotents, hence no invariant splitting exists at all
-        if len(factors) == 1 and len(minp) - 1 == len(commutant):
+        if len(minp) - 1 == len(commutant):
             assert all(
                 ratmat.mat_mul(a, b) == ratmat.mat_mul(b, a)
                 for a, b in itertools.combinations(commutant, 2)

@@ -4,10 +4,12 @@ Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
 search, the separate Z_q and rational Gauss-Jordan loops that the one
 elimination kernel in ``smaralg.ratmat`` replaced, the dense matrix
-products that ratmat's zero-skipping ones replaced, the intertwiner
-space solved from its defining linear constraints, the invariant
-decomposition with every block re-expressed in the coordinates of the
-whole space, and the lattice check that tests every semivector axiom.
+products that ratmat's zero-skipping ones replaced, the minimal
+polynomial solved one degree at a time, the intertwiner space solved
+from its defining linear constraints, the invariant decomposition with
+every block re-expressed in the coordinates of the whole space and
+every factor of the minimal polynomial tried, and the lattice check
+that tests every semivector axiom.
 """
 
 from __future__ import annotations
@@ -160,10 +162,42 @@ def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):
     ]
 
 
+def min_poly_by_degree(m):
+    """Monic minimal polynomial, ascending coefficients: the first power
+    M^k that lies in the span of I, ..., M^(k-1), one solve per degree."""
+    dim = len(m)
+    flats = []
+    power = ratmat.identity(dim)
+    while True:
+        flat = tuple(x for row in power for x in row)
+        coords = ratmat.solve_in_span(flats, [flat])[0] if flats else None
+        if flats and coords is not None:
+            return [-c for c in coords] + [Fraction(1)]
+        flats.append(flat)
+        power = ratmat.mat_mul(power, m)
+        if len(flats) > dim * dim + 1:
+            raise AssertionError("minimal polynomial search failed to terminate")
+
+
+def restrict(rep, basis):
+    """Matrices of the action in the coordinates of an invariant subspace."""
+    elements = rep.subgroup.elements
+    k = len(basis)
+    images = [ratmat.mat_vec(rep.matrix(x), b) for x in elements for b in basis]
+    coords = ratmat.solve_in_span(basis, images)
+    assert None not in coords, "subspace must be invariant"
+    return {
+        x: tuple(tuple(coords[n * k + j][i] for j in range(k)) for i in range(k))
+        for n, x in enumerate(elements)
+    }
+
+
 def decompose_whole_space(rep):
     """decompose_invariants by recursion on bases of subspaces of the whole
     space: each step restricts the original action to the current basis
-    (starting from the standard one) and lifts the split parts back to
+    (starting from the standard one), tries every irreducible factor of
+    each candidate's minimal polynomial, skipping scalar candidates and
+    non-integral minimal polynomials, and lifts the split parts back to
     the whole space before recursing on them."""
     dim = rep.degree
     return _decompose_in(rep, list(ratmat.identity(dim)))
@@ -175,7 +209,7 @@ def _lift(basis, coords):
 
 def _decompose_in(rep, basis):
     subdim = len(basis)
-    restricted = semigroup._restrict(rep, basis)
+    restricted = restrict(rep, basis)
     sub_rep = semigroup.Representation(rep.subgroup, subdim, restricted)
     commutant = semigroup._intertwiner_space(restricted, restricted, rep.subgroup)
     block = functools.partial(semigroup.InvariantBlock, tuple(basis), True)
@@ -183,7 +217,7 @@ def _decompose_in(rep, basis):
         return [block("commutant_scalars")]
     for cand in semigroup._split_candidates(commutant):
         scaled = semigroup._integer_scaled(cand)
-        minp = ratmat.min_poly(scaled)
+        minp = min_poly_by_degree(scaled)
         if any(c.denominator != 1 for c in minp) or len(minp) <= 2:
             continue
         try:
@@ -194,7 +228,7 @@ def _decompose_in(rep, basis):
             kernel = ratmat.nullspace(semigroup._matrix_poly([Fraction(c) for c in g], scaled))
             if 0 < len(kernel) < subdim:
                 p0 = semigroup.projection_onto(kernel, subdim)
-                _, complement = semigroup._invariant_projection(sub_rep, kernel, p0)
+                complement = ratmat.nullspace(semigroup.averaged_projection(sub_rep, kernel, p0))
                 return _decompose_in(rep, [_lift(basis, w) for w in kernel]) + _decompose_in(
                     rep, [_lift(basis, z) for z in complement]
                 )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from smaralg import linalg, ratmat
 from smaralg.cli import main as cli_main
 from smaralg.econ import NON_PRODUCTIVE_LABEL, closed_solve, open_solve
-from smaralg.gfmat import charpoly_mod, mat_mul_mod
+from smaralg.gfmat import charpoly_mod
 from smaralg.polylab import (
     FermatFamily,
     RootTruth,
@@ -381,11 +381,15 @@ def test_criterion_12_charpoly_dimension_10():
     a = [[rng.randrange(7) for _ in range(10)] for _ in range(10)]
     with Timer(0.05, "criterion 12: characteristic polynomial over Z_7 at dimension 10"):
         coeffs = charpoly_mod(a, 7)
-    # Cayley-Hamilton: p(A) = 0 over Z_7
+    # Cayley-Hamilton: p(A) = 0 over Z_7, by Horner's rule acc <- acc A + c I
+    columns = list(zip(*a))
     acc = [[0] * 10 for _ in range(10)]
     for c in reversed(coeffs):
-        acc = mat_mul_mod(acc, a, 7)
-        acc = [[(x + c * (i == j)) % 7 for j, x in enumerate(row)] for i, row in enumerate(acc)]
+        acc = [
+            [(sum(x * y for x, y in zip(row, col)) + c * (i == j)) % 7
+             for j, col in enumerate(columns)]
+            for i, row in enumerate(acc)
+        ]
     assert len(coeffs) == 11 and all(x == 0 for row in acc for x in row)
 
 

@@ -1,14 +1,17 @@
-"""One sha256 over the exact output of a fixed set of CLI calls.
+"""Sha256 digests over the exact output of fixed sets of CLI calls.
 
-The digest covers [argv, exit code, stdout] of every call below, in
-order: the worked examples (plain and --pretty), the regular
+EXPECTED_SHA256 covers [argv, exit code, stdout] of every call of _calls,
+in order: the worked examples (plain and --pretty), the regular
 representations of every group of order 2-8 checked left against right
 and decomposed on both sides, their subgroup lists, both again inside
 G x {0,1} for the groups of order 2-6, representations asked for at
 elements that are not idempotents, lattice checks on chains, M3, N5 and
 tables that are no lattice, and a relaxed closed Leontief model of
-nullity 3.  A change that alters
-any of these bytes must change EXPECTED_SHA256 on purpose and say why.
+nullity 3.  SPECTRAL_SHA256 covers spectral calls (plain and --pretty)
+at dimensions 3-8 over subfields of Z_6, Z_10 and Z_15 and over prime
+fields, on self-adjoint diagonalizable, general and self-adjoint
+non-diagonalizable matrices.  A change that alters any of these bytes
+must change the digest on purpose and say why.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 
 from smaralg.cli import main
 
 EXPECTED_SHA256 = "7984f135a7614ca181fef8d3e6192ec6a8bfd92f99af5be688ddf987c1c0143c"
+SPECTRAL_SHA256 = "7f7804e5ec83d9a9572294219a9d120bdbaac23cd60de1336290011b83988688"
 
 
 def _cayley(generators, op):
@@ -147,3 +152,90 @@ def test_cli_bytes_are_pinned(tmp_path, capsys):
         out = capsys.readouterr().out
         digest.update(json.dumps([argv, code, out]).encode() + b"\n")
     assert digest.hexdigest() == EXPECTED_SHA256
+
+
+# (n, q): the order-q subfields of Z_6, Z_10 and Z_15, and prime fields
+SPECTRAL_FIELDS = [(6, 2), (6, 3), (10, 2), (10, 5), (15, 3), (15, 5), (5, 5), (7, 7),
+                   (11, 11), (13, 13)]
+
+
+def _mul_mod(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def _orthogonal(rng, q, dim):
+    """Q with Q Q^T = I over Z_q: a permutation matrix for q = 2, else a
+    product of two reflections I - 2 v v^T / (v^T v)."""
+    perm = rng.sample(range(dim), dim)
+    qm = [[int(j == perm[i]) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 if q > 2 else 0):
+        v = [0] * dim
+        while sum(x * x for x in v) % q == 0:
+            v = [rng.randrange(q) for _ in range(dim)]
+        c = 2 * pow(sum(x * x for x in v), -1, q)
+        reflection = [[(int(i == j) - c * v[i] * v[j]) % q for j in range(dim)] for i in range(dim)]
+        qm = _mul_mod(qm, reflection, q)
+    return qm
+
+
+def _defective_block(q):
+    """A symmetric 2 x 2 matrix over Z_q with no eigenbasis: nilpotent
+    where -1 is a square (q = 2 or q = 1 mod 4), else with a characteristic
+    polynomial t^2 - c t - 1 that has no root."""
+    if q == 2:
+        return [[1, 1], [1, 1]]
+    i = next((i for i in range(q) if i * i % q == q - 1), None)
+    if i is not None:
+        return [[1, i], [i, q - 1]]
+    squares = {x * x % q for x in range(q)}
+    c = next(c for c in range(q) if (c * c + 4) % q not in squares)
+    return [[0, 1], [1, c]]
+
+
+def _spectral_matrix(rng, q, dim, kind):
+    """A matrix over Z_q of the given kind; the self-adjoint ones are
+    Q B Q^T for an orthogonal Q and a block-diagonal B."""
+    if kind == "general":
+        a = [[rng.randrange(q) for _ in range(dim)] for _ in range(dim)]
+        a[1][0] = (a[0][1] + 1) % q  # never symmetric
+        return a
+    b = [[rng.randrange(q) if i == j else 0 for j in range(dim)] for i in range(dim)]
+    if kind == "defective":
+        for i, row in enumerate(_defective_block(q)):
+            b[i][:2] = row
+    qm = _orthogonal(rng, q, dim)
+    return _mul_mod(_mul_mod(qm, b, q), [list(col) for col in zip(*qm)], q)
+
+
+def _spectral_calls():
+    rng = random.Random(2003)
+    for dim in range(3, 9):
+        for n, q in SPECTRAL_FIELDS:
+            elements = sorted({k * (n // q) % n for k in range(q)})
+            e = next(x for x in elements if x and x * x % n == x)
+            for kind in ("self_adjoint", "general", "defective"):
+                prime = _spectral_matrix(rng, q, dim, kind)
+                data = {"n": n, "subfield": elements, "rows": dim, "cols": dim,
+                        "entries": [x * e % n for row in prime for x in row]}
+                argv = ["spectral", "--matrix", json.dumps(data, separators=(",", ":"))]
+                yield argv
+                yield argv + ["--pretty"]
+
+
+def test_spectral_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    outcomes = set()
+    for argv in _spectral_calls():
+        code = main(argv)
+        out = capsys.readouterr().out
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+        if "--pretty" not in argv:
+            payload = json.loads(out)["payload"]
+            if payload.get("reason") == "not_diagonalizable":
+                outcomes.add(json.loads(payload["message"])["reason"])
+            else:
+                outcomes.add("self_adjoint" if "spectral" in payload else "general")
+    assert outcomes == {
+        "self_adjoint", "general", "defective_eigenvalue", "char_poly_does_not_split_over_k"
+    }
+    assert digest.hexdigest() == SPECTRAL_SHA256

@@ -1,10 +1,11 @@
-"""The one Gauss-Jordan kernel in ratmat, over Z_q and over Q, and the
-zero-skipping matrix products.
+"""The one Gauss-Jordan kernel in ratmat, over Z_q and over Q, the
+zero-skipping matrix products and the minimal polynomial.
 
 Cross-checked on hypothesis-generated matrices (empty, zero, mostly
 zero, non-square, rank-deficient, unreduced mod q) against the separate
-Z_q and rational loops it replaced and against the dense products, all
-kept in reference_algebra.
+Z_q and rational loops it replaced, against the dense products and
+against the minimal polynomial solved one degree at a time, all kept in
+reference_algebra.
 """
 
 from fractions import Fraction
@@ -13,9 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import dense_mat_mul, dense_mat_vec, rat_det, rat_rref, rat_solve, rref_mod
+from reference_algebra import (
+    dense_mat_mul,
+    dense_mat_vec,
+    min_poly_by_degree,
+    rat_det,
+    rat_rref,
+    rat_solve,
+    rref_mod,
+)
 from smaralg import ratmat, semigroup
-from smaralg.semigroup import Side, find_subgroups, regular_representation, validate_table
+from smaralg.semigroup import (
+    Side,
+    decompose_invariants,
+    find_subgroups,
+    regular_representation,
+    validate_table,
+)
+from test_semigroup import GROUPS
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -198,11 +214,15 @@ def test_restrict_eliminates_once(order, eliminations):
     whole = [tuple(Fraction(int(i == j)) for i in range(order)) for j in range(order)]
     for basis in ([ratmat.vec([1] * order)], whole):
         eliminations.clear()
-        restricted = semigroup._restrict(rep, basis)
-        assert len(eliminations) == 1
+        restricted, witness = semigroup._restrict(rep, basis)
+        assert len(eliminations) == 1 and witness is None
         assert restricted[1] == (
             ((Fraction(1),),) if len(basis) == 1 else rep.matrix(1)
         )
+    # the first indicator alone is moved by the first element past the identity
+    eliminations.clear()
+    assert semigroup._restrict(rep, whole[:1]) == (None, 1)
+    assert len(eliminations) == 1
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -277,3 +297,50 @@ def test_permutation_product_multiplies_only_nonzero_entries():
     assert len(products) <= 8
     # row i of a picks row 3i+1 of b, whose one is in column 5(3i+1)+2
     assert got == ratmat.mat([[int(j == (15 * i + 7) % 8) for j in range(8)] for i in range(8)])
+
+
+@st.composite
+def square_matrices(draw):
+    """d x d rational matrices, 1 <= d <= 6: zero, scalar, nilpotent
+    (strictly upper triangular), permutation, mostly zero, dense, or one
+    of these repeated as two diagonal blocks, whose minimal polynomial is
+    of lower degree than d."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["scalar", "nilpotent", "blocks", "other"]))
+    if kind == "scalar":
+        return ratmat.scale(draw(rationals), ratmat.identity(d))
+    if kind == "nilpotent":
+        return ratmat.mat([[draw(rationals) if j > i else 0 for j in range(d)] for i in range(d)])
+    if kind == "blocks":
+        k = draw(st.integers(1, 3))
+        b = draw(factors(k, k))
+        return ratmat.mat(
+            [[b[i % k][j % k] if i // k == j // k else 0 for j in range(2 * k)]
+             for i in range(2 * k)]
+        )
+    return draw(factors(d, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_min_poly_matches_per_degree_solve(m):
+    got = ratmat.min_poly(m)
+    assert got == min_poly_by_degree(m)
+    assert all_fractions(got) and got[-1] == 1
+    assert semigroup._matrix_poly(got, m) == ratmat.zeros(len(m), len(m))
+
+
+def test_min_poly_eliminates_once(eliminations):
+    # a repeated eigenvalue: dimension 4, minimal polynomial (x-1)(x-2)(x-3)
+    m = ratmat.mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
+    assert ratmat.min_poly(m) == [-6, 11, -6, 1]
+    assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("name, most", [("C8", 37), ("Q8", 64)])
+def test_decompose_eliminations(name, most, eliminations):
+    # each invariance system is solved once, a split is made on the first
+    # factor of the minimal polynomial, and each minimal polynomial is
+    # one elimination
+    decompose_invariants(regular_representation(GROUPS[name], Side.LEFT))
+    assert len(eliminations) <= most

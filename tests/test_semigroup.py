@@ -219,6 +219,12 @@ class TestAveragedProjection:
         p = averaged_projection(rep, basis, ratmat.identity(3))
         assert p == ratmat.identity(3)
 
+    def test_zero_subspace(self, z3_table):
+        sub = find_subgroups(z3_table)[0]
+        rep = regular_representation(sub, Side.LEFT)
+        p = averaged_projection(rep, [], projection_onto([], 3))
+        assert p == ratmat.zeros(3, 3)
+
     def test_s3_constants(self, s3_table):
         sub = find_subgroups(s3_table)[0]
         rep = regular_representation(sub, Side.LEFT)
@@ -545,7 +551,7 @@ def base_representations(name):
             ratmat.vec([1 if i == j else -1 if i == d - 1 else 0 for i in range(d)])
             for j in range(d - 1)
         ]
-        restricted.append(Representation(group, d - 1, _restrict(rep, zero_sum)))
+        restricted.append(Representation(group, d - 1, _restrict(rep, zero_sum)[0]))
     trivial = [permutation_representation(group, lambda x, p: p, range(k)) for k in (1, 2, 3)]
     return perms + restricted + trivial
 
