@@ -477,12 +477,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         _print_error(args, exc.reason, str(exc))
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _print_error(args, "domain_error", f"{type(exc).__name__}: {exc}")
         return 1
-    except AssertionError as exc:
+    except (AssertionError, KeyError) as exc:
         # Input is validated by raising ValueError or DomainError; an
-        # assertion is a re-verification of a computed result.
+        # assertion is a re-verification of a computed result, and a
+        # missing key is a lookup the validated input should have made safe.
         _print_error(args, "internal_error", f"{type(exc).__name__}: {exc}")
         return 3
 

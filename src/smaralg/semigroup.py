@@ -2,8 +2,8 @@
 
 A semigroup arrives as a multiplication table (indices into itself);
 subgroups sit at idempotents.  Representations map subgroup elements to
-invertible rational matrices; every constructed representation has its
-homomorphism law verified exhaustively before use.
+invertible rational matrices, whose homomorphism law make_representation
+verifies once, exhaustively, before use.
 """
 
 from __future__ import annotations
@@ -145,15 +145,9 @@ def maximal_subgroup_at(table: SemigroupTable, e: int) -> SubgroupRecord:
     if table.mul(e, e) != e:
         raise ValueError(f"{e} is not idempotent")
     local = sorted({table.mul(table.mul(e, s), e) for s in range(table.order)})
-    units = []
-    inverses = {}
-    for x in local:
-        y = next(
-            (y for y in local if table.mul(x, y) == e == table.mul(y, x)), None
-        )
-        if y is not None:
-            units.append(x)
-            inverses[x] = y
+    units = [
+        x for x in local if any(table.mul(x, y) == e == table.mul(y, x) for y in local)
+    ]
     record = _group_from_subset(table, units)
     assert record is not None and record.identity == e, "unit group must be a group"
     return record
@@ -188,9 +182,9 @@ class Side(str, enum.Enum):
 class Representation:
     """Exact-rational matrix homomorphism on a subgroup.
 
-    matrices[x] is the matrix of x on the chosen ordered basis; the
-    homomorphism law M(x)M(y) = M(xy) holds for every pair (verified at
-    construction time by make_representation).
+    matrices[x] is the matrix of x on the chosen ordered basis; M(e) = I
+    and the homomorphism law M(x)M(y) = M(xy) holds for every pair
+    (verified once, at construction time, by make_representation).
     """
 
     subgroup: SubgroupRecord
@@ -218,18 +212,17 @@ class Representation:
 
 
 def make_representation(subgroup: SubgroupRecord, matrices: dict[int, Matrix]) -> Representation:
-    """Verify the homomorphism law, identity and inverses, then wrap."""
-    degree = len(matrices[subgroup.identity])
-    ident = ratmat.identity(degree)
-    assert matrices[subgroup.identity] == ident, "identity must map to I"
+    """Verify M(e) = I and M(x)M(y) = M(xy) for every pair (so that
+    M(x)M(x^-1) = I), then wrap.  A failure raises TableError with the
+    first failing pair (x, y), or (e,) for the identity, as witness."""
+    e = subgroup.identity
+    degree = len(matrices[e])
+    if matrices[e] != ratmat.identity(degree):
+        raise TableError("identity must map to I", (e,))
     for x in subgroup.elements:
         for y in subgroup.elements:
-            got = ratmat.mat_mul(matrices[x], matrices[y])
-            if got != matrices[subgroup.mul(x, y)]:
-                raise AssertionError(f"homomorphism law fails at ({x},{y})")
-    for x in subgroup.elements:
-        prod = ratmat.mat_mul(matrices[x], matrices[subgroup.inverse(x)])
-        assert prod == ident, f"M({x}) M({x}^-1) != I"
+            if ratmat.mat_mul(matrices[x], matrices[y]) != matrices[subgroup.mul(x, y)]:
+                raise TableError(f"homomorphism law fails at ({x},{y})", (x, y))
     return Representation(subgroup=subgroup, degree=degree, matrices=matrices)
 
 
@@ -262,22 +255,15 @@ def regular_representation(subgroup: SubgroupRecord, side: Side) -> Representati
 def permutation_representation(subgroup: SubgroupRecord, action, points) -> Representation:
     """Representation on functions over a finite set acted on by the group.
 
-    ``action(x, p)`` must be a left action by bijections; failures are
-    reported with a witness.  Basis: indicators of the sorted points.
+    ``action(x, p)`` must be a left action by bijections; a map that is
+    not a bijection, or whose matrices break the homomorphism law, raises
+    TableError with a witness.  Basis: indicators of the sorted points.
     """
     pts = sorted(points)
     for x in subgroup.elements:
         image = [action(x, p) for p in pts]
         if sorted(image, key=str) != sorted(pts, key=str) or len(set(map(str, image))) != len(pts):
             raise TableError(f"element {x} does not act bijectively", x)
-    for x in subgroup.elements:
-        for y in subgroup.elements:
-            for p in pts:
-                if action(x, action(y, p)) != action(subgroup.mul(x, y), p):
-                    raise TableError(
-                        f"action is not a homomorphism at (x,y,p) = ({x},{y},{p})",
-                        (x, y, p),
-                    )
     return make_representation(
         subgroup,
         {x: _permutation_matrix(functools.partial(action, x), pts) for x in subgroup.elements},
@@ -298,11 +284,17 @@ def left_right_intertwiner(left: Representation, right: Representation) -> Matri
         raise ValueError("the representations are over different subgroups")
     t = _permutation_matrix(subgroup.inverse, subgroup.elements)
     assert ratmat.rank(t) == subgroup.order, "intertwiner must be invertible"
-    for x in subgroup.elements:
-        lhs = ratmat.mat_mul(t, right.matrix(x))
-        rhs = ratmat.mat_mul(left.matrix(x), t)
-        assert lhs == rhs, f"intertwining identity fails at {x}"
+    _assert_intertwines(
+        t, right.matrices, left.matrices, subgroup.elements, "intertwining identity fails at {}"
+    )
     return t
+
+
+def _assert_intertwines(t: Matrix, m1, m2, elements, message: str) -> None:
+    """Assert T M1(x) = M2(x) T for every x in elements; message.format(x)
+    names the first x where it fails."""
+    for x in elements:
+        assert ratmat.mat_mul(t, m1[x]) == ratmat.mat_mul(m2[x], t), message.format(x)
 
 
 def projection_onto(w_basis: list[Vector], dim: int) -> Matrix:
@@ -365,10 +357,9 @@ def _invariant_projection(rep: Representation, w_basis, p0: Matrix):
     assert None not in ratmat.solve_in_span(w_basis, ratmat.transpose(p)), (
         "range must stay inside W"
     )
-    for y in sub.elements:
-        assert ratmat.mat_mul(rep.matrix(y), p) == ratmat.mat_mul(p, rep.matrix(y)), (
-            f"average must commute with M({y})"
-        )
+    _assert_intertwines(
+        p, rep.matrices, rep.matrices, sub.elements, "average must commute with M({})"
+    )
     kernel = ratmat.nullspace(p)
     stacked = ratmat.mat(list(w_basis) + list(kernel))
     assert ratmat.rank(stacked) == len(w_basis) + len(kernel) == dim, (
@@ -507,10 +498,9 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
             if w:
                 cand = ratmat.add(cand, ratmat.scale(w, b))
         if ratmat.rank(cand) == d:
-            for x in rep1.subgroup.elements:
-                assert ratmat.mat_mul(cand, rep1.matrix(x)) == ratmat.mat_mul(
-                    m2_pulled[x], cand
-                ), "witness must intertwine"
+            _assert_intertwines(
+                cand, rep1.matrices, m2_pulled, rep1.subgroup.elements, "witness must intertwine"
+            )
             return IsoReport(True, cand, None)
     raise AssertionError("equal characters but no invertible intertwiner found")
 

@@ -163,7 +163,7 @@ class SpanResult:
     def to_json(self):
         return {
             "member": self.member,
-            "coefficients": list(self.coefficients) if self.coefficients else None,
+            "coefficients": None if self.coefficients is None else list(self.coefficients),
             "searched_domain_sizes": list(self.searched),
         }
 
@@ -258,8 +258,10 @@ def _solutions(sf, target, generators, ranges):
     """The coefficient tuples of itertools.product(*ranges) that combine
     to the target, in that order, skipping every prefix that cannot be
     completed.  Each one is re-verified with ``combine`` before it is
-    yielded.  The search state is the combination so far (chain lattice)
-    or the residual target (nonnegative integers).
+    yielded; with no generators, () is yielded exactly when the target is
+    zero (``combine`` cannot size the empty combination).  The search
+    state is the combination so far (chain lattice) or the residual
+    target (nonnegative integers).
     """
     t = target.entries
     k = len(generators)
@@ -281,7 +283,7 @@ def _solutions(sf, target, generators, ranges):
     if not completes(0, start):
         return
     if k == 0:
-        if combine(sf, (), generators) == t:
+        if target.is_zero():
             yield ()
         return
     dead = set()  # (level, state) pairs whose subtree held no solution
@@ -326,9 +328,6 @@ def span_membership(target: SemivectorTuple, generators, scalars=None) -> SpanRe
     carrier (or the given scalars) for every generator.
     """
     sf, _ = _check_family([target] + list(generators))
-    if not generators:
-        found = target.is_zero()
-        return SpanResult(member=found, coefficients=() if found else None, searched=())
     ranges = _coefficient_ranges(target, generators, scalars)
     coeffs = next(_solutions(sf, target, generators, ranges), None)
     return SpanResult(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smaralg import linalg, ratmat, semigroup
+from smaralg import cli, linalg, ratmat, semigroup
 from smaralg.cli import main
 
 
@@ -37,6 +37,17 @@ class TestSubfields:
         with pytest.raises(SystemExit) as exc:
             main(["subfields", "six"])
         assert exc.value.code == 2
+
+    def test_key_error_is_internal_error(self, capsys, monkeypatch):
+        # a missing key of the input is a ValueError, so a KeyError is a bug
+        def handler(args):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "cmd_subfields", handler)
+        code, out = run(capsys, "subfields", "6")
+        report = json.loads(out)
+        assert code == 3 and report["status"] == "error"
+        assert report["payload"] == {"reason": "internal_error", "message": "KeyError: 'lost'"}
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,11 @@ tables that are no lattice, and a relaxed closed Leontief model of
 nullity 3.  SPECTRAL_SHA256 covers spectral calls (plain and --pretty)
 at dimensions 3-8 over subfields of Z_6, Z_10 and Z_15 and over prime
 fields, on self-adjoint diagonalizable, general and self-adjoint
-non-diagonalizable matrices.  A change that alters any of these bytes
-must change the digest on purpose and say why.
+non-diagonalizable matrices.  SEMIVEC_SHA256 covers semivec span,
+enumerate, independent and spans calls (plain and --pretty) over the
+chains C4-C8 and the nonnegative integers, with and without --scalars.
+A change that alters any of these bytes must change the digest on
+purpose and say why.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from smaralg.cli import main
 
 EXPECTED_SHA256 = "7984f135a7614ca181fef8d3e6192ec6a8bfd92f99af5be688ddf987c1c0143c"
 SPECTRAL_SHA256 = "7f7804e5ec83d9a9572294219a9d120bdbaac23cd60de1336290011b83988688"
+SEMIVEC_SHA256 = "426c6542c13a405512f451abc4ff43c92663b3700a5b3c7ab3bb35594458e2a4"
 
 
 def _cayley(generators, op):
@@ -239,3 +243,46 @@ def test_spectral_bytes_are_pinned(capsys):
         "self_adjoint", "general", "defective_eigenvalue", "char_poly_does_not_split_over_k"
     }
     assert digest.hexdigest() == SPECTRAL_SHA256
+
+
+def _semivec_calls():
+    """Three problems per semifield, each asked as span, enumerate,
+    independent and spans; every family has at least one tuple.  The
+    first two targets are combinations of the tuples, the third is any
+    tuple, asked with a scalar subset."""
+    rng = random.Random(1983)
+    semifields = [(f"chain:{m}", 0, m - 1) for m in range(4, 9)] + [("nonneg", 1, 4)]
+    for semifield, low, top in semifields:
+        for problem in range(3):
+            d = rng.randint(1, 3)
+            gens = [[rng.randint(low, top) for _ in range(d)] for _ in range(rng.randint(1, 4))]
+            if problem < 2:
+                coeffs = [rng.randint(0, top) for _ in gens]
+                join, meet = (max, min) if low == 0 else (sum, int.__mul__)
+                target = [join(map(meet, coeffs, column)) for column in zip(*gens)]
+            else:
+                target = [rng.randint(0, top) for _ in range(d)]
+            common = ["semivec", "--semifield", semifield]
+            if problem == 2:
+                common += ["--scalars", ",".join(map(str, rng.sample(range(top + 1), 3)))]
+            vectors = ";".join(",".join(map(str, g)) for g in gens)
+            if low == 0:  # a chain spans its carrier with 1-tuples
+                space = ["--space", "carrier"]
+                singles = ";".join(str(rng.randint(0, top)) for _ in range(rng.randint(1, 4)))
+            else:
+                space, singles = ["--space", f"dim:{d}"], vectors
+            for action in ("span", "enumerate"):
+                yield common + ["--action", action, "--vectors", vectors,
+                                "--target", ",".join(map(str, target))]
+            yield common + ["--action", "independent", "--vectors", vectors]
+            yield common + ["--action", "spans", "--vectors", singles] + space
+
+
+def test_semivec_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _semivec_calls():
+        for call in (argv, argv + ["--pretty"]):
+            code = main(call)
+            out = capsys.readouterr().out
+            digest.update(json.dumps([call, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == SEMIVEC_SHA256

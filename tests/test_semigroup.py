@@ -178,6 +178,34 @@ class TestPermutationRepresentation:
             permutation_representation(sub, bad, range(2))
 
 
+class TestMakeRepresentation:
+    def test_broken_law_names_the_first_pair(self, t2_table):
+        z2 = find_subgroups(t2_table)[0]
+        with pytest.raises(TableError, match="homomorphism law") as exc:
+            make_representation(z2, {0: ratmat.identity(1), 1: ratmat.mat([[2]])})
+        assert exc.value.witness == (1, 1)
+
+    def test_identity_must_map_to_identity(self, t2_table):
+        z2 = find_subgroups(t2_table)[0]
+        with pytest.raises(TableError, match="identity") as exc:
+            make_representation(z2, {0: ratmat.mat([[-1]]), 1: ratmat.mat([[-1]])})
+        assert exc.value.witness == (0,)
+
+    def test_law_is_checked_once(self, monkeypatch):
+        # the |G|^2 pairs of the left regular representation of C_6, no more
+        c6 = find_subgroups(validate_table([[(i + j) % 6 for j in range(6)] for i in range(6)]))[0]
+        calls = []
+        real = ratmat.mat_mul
+
+        def mat_mul(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(ratmat, "mat_mul", mat_mul)
+        regular_representation(c6, Side.LEFT)
+        assert len(calls) == 36
+
+
 class TestIntertwiner:
     def test_z2_is_identity(self, t2_table):
         z2 = find_subgroups(t2_table)[0]

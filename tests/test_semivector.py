@@ -76,15 +76,20 @@ class TestSpanMembership:
 # combine.  The pruned search must return exactly what they return.
 
 
+def combines_to(sf, coeffs, vectors, target):
+    """combine(sf, coeffs, vectors) == target.entries, where the empty
+    combination is the zero tuple (combine returns () without a vector)."""
+    if not vectors:
+        return target.is_zero()
+    return combine(sf, coeffs, vectors) == target.entries
+
+
 def product_span(target, generators, scalars=None):
     sf, _ = _check_family([target] + list(generators))
-    if not generators:
-        found = target.is_zero()
-        return SpanResult(member=found, coefficients=() if found else None, searched=())
     ranges = _coefficient_ranges(target, generators, scalars)
     searched = tuple(len(r) for r in ranges)
     for coeffs in itertools.product(*ranges):
-        if combine(sf, coeffs, generators) == target.entries:
+        if combines_to(sf, coeffs, generators, target):
             return SpanResult(member=True, coefficients=coeffs, searched=searched)
     return SpanResult(member=False, coefficients=None, searched=searched)
 
@@ -95,7 +100,7 @@ def product_enumerate(target, basis, scalars=None):
     return [
         coeffs
         for coeffs in itertools.product(*ranges)
-        if combine(sf, coeffs, basis) == target.entries
+        if combines_to(sf, coeffs, basis, target)
     ]
 
 
@@ -204,6 +209,25 @@ def assert_matches_oracles(generators, target, scalars):
         assert outcome(spans_space, generators, space, scalars) == outcome(
             product_spans, generators, space, scalars
         )
+
+
+@pytest.mark.parametrize("sf", [NN, ChainLattice(4)], ids=["nonneg", "C4"])
+@pytest.mark.parametrize(
+    "span, enumerate_",
+    [(span_membership, enumerate_representations), (product_span, product_enumerate)],
+    ids=["search", "oracle"],
+)
+def test_empty_family_combines_to_zero_only(sf, span, enumerate_):
+    zero = SemivectorTuple(sf, (0, 0))
+    nonzero = SemivectorTuple(sf, (0, 1))
+    assert span(zero, []).to_json() == {
+        "member": True, "coefficients": [], "searched_domain_sizes": []
+    }
+    assert enumerate_(zero, []) == [()]
+    assert span(nonzero, []).to_json() == {
+        "member": False, "coefficients": None, "searched_domain_sizes": []
+    }
+    assert enumerate_(nonzero, []) == []
 
 
 @pytest.mark.parametrize("case", FIXED_PROBLEMS)
