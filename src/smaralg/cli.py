@@ -156,10 +156,14 @@ def cmd_certify(args):
 
 def cmd_poly(args):
     p = polylab.parse_poly(args.expr, args.mod)
-    payload = {"polynomial": p.to_json(), "roots": polylab.roots_in(p, range(p.n))}
+    payload = {"polynomial": p.to_json()}
     if ringcore._is_prime(p.n):
-        payload["reducibility"] = polylab.reducibility_report(p).to_json()
+        report = polylab.reducibility_report(p)
+        payload["roots"] = list(report.roots)
+        payload["reducibility"] = report.to_json()
         payload["coefficient_sum"] = polylab.coeff_sum_hom(p)
+    else:
+        payload["roots"] = polylab.roots_in(p, range(p.n))
     pretty = f"{p} over Z_{p.n}: roots {payload['roots']}"
     _print_report(args, payload, CITATIONS["poly"], pretty)
     return 0

@@ -179,13 +179,6 @@ class LeontiefSolution:
         }
 
 
-def _is_exchange(a: Matrix) -> bool:
-    dim = len(a)
-    return all(x >= 0 for row in a for x in row) and all(
-        sum(a[i][j] for i in range(dim)) == 1 for j in range(dim)
-    )
-
-
 def _first_positive_power(a: Matrix, limit: int) -> int | None:
     power = a
     for m in range(1, limit + 1):
@@ -213,7 +206,7 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
     for b in basis:
         assert all(x == 0 for x in ratmat.mat_vec(system, b)), "(I-A)p = 0 must hold"
 
-    if _is_exchange(a):
+    if classify_transition(a).kind is TransitionKind.CLASSICAL:
         warnings = []
         representative = None
         nonneg = None

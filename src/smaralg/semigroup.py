@@ -1,9 +1,10 @@
 """Finite semigroups, their subgroups, and exact-rational representations.
 
 A semigroup arrives as a multiplication table (indices into itself);
-subgroups sit at idempotents.  Representations map subgroup elements to
-invertible rational matrices, whose homomorphism law make_representation
-verifies once, exhaustively, before use.
+subgroups sit at idempotents, and every subgroup comes from closure
+inside the maximal subgroup at its identity.  Representations map
+subgroup elements to invertible rational matrices, whose homomorphism
+law make_representation verifies once, exhaustively, before use.
 """
 
 from __future__ import annotations
@@ -108,68 +109,60 @@ class SubgroupRecord:
         }
 
 
-def _group_from_subset(table: SemigroupTable, subset) -> SubgroupRecord | None:
-    """Certify a subset as a group under the table; None when it is not."""
-    elems = sorted(subset)
-    eset = set(elems)
-    for x in elems:
-        for y in elems:
-            if table.mul(x, y) not in eset:
-                return None
-    identity = None
-    for e in elems:
-        if all(table.mul(e, x) == x == table.mul(x, e) for x in elems):
-            identity = e
-            break
-    if identity is None:
-        return None
-    inverses = {}
-    for x in elems:
-        inv = next(
-            (y for y in elems if table.mul(x, y) == identity == table.mul(y, x)),
-            None,
-        )
-        if inv is None:
-            return None
-        inverses[x] = inv
-    return SubgroupRecord(
-        table=table,
-        identity=identity,
-        elements=tuple(elems),
-        inverse_pairs=tuple(sorted(inverses.items())),
-    )
-
-
 def maximal_subgroup_at(table: SemigroupTable, e: int) -> SubgroupRecord:
-    """The group of units of the local monoid eSe."""
+    """The group of units of the local monoid eSe, each unit paired with
+    the inverse the search finds for it."""
     if table.mul(e, e) != e:
         raise ValueError(f"{e} is not idempotent")
     local = sorted({table.mul(table.mul(e, s), e) for s in range(table.order)})
-    units = [
-        x for x in local if any(table.mul(x, y) == e == table.mul(y, x) for y in local)
+    inverse = {x: y for x in local for y in local if table.mul(x, y) == e == table.mul(y, x)}
+    assert all(table.mul(x, y) in inverse for x in inverse for y in inverse), "units must close"
+    return SubgroupRecord(table, e, tuple(inverse), tuple(inverse.items()))
+
+
+def _subgroups_within(group: SubgroupRecord) -> list[SubgroupRecord]:
+    """Every subgroup of a group, from the trivial one up.
+
+    Each subgroup K found and each g outside it give <K, g>: the set
+    reached from the identity by right multiplication with K and g (in a
+    finite group the monoid a set generates is the group it generates).
+    Adding its elements one at a time reaches every subgroup.
+    """
+    e = group.identity
+    found = {frozenset((e,))}
+    pending = list(found)
+    while pending:
+        k = pending.pop()
+        for g in group.elements:
+            if g in k:
+                continue
+            generators = k | {g}
+            reached, frontier = {e}, {e}
+            while frontier:
+                frontier = {group.mul(x, y) for x in frontier for y in generators} - reached
+                reached |= frontier
+            h = frozenset(reached)
+            if h not in found:
+                found.add(h)
+                pending.append(h)
+    return [
+        SubgroupRecord(group.table, e, h, tuple((x, group.inverse(x)) for x in h))
+        for h in (tuple(sorted(s)) for s in found)
     ]
-    record = _group_from_subset(table, units)
-    assert record is not None and record.identity == e, "unit group must be a group"
-    return record
 
 
 def find_subgroups(table: SemigroupTable, all_subgroups: bool = False) -> list[SubgroupRecord]:
     """Maximal subgroup at every idempotent; with all_subgroups=True
-    (order <= 12) every subset that is a group, by closure enumeration.
+    (order <= 12) every subgroup, by closure inside the maximal subgroup
+    at its identity (a subgroup with identity e lies in the units of eSe).
 
     Order: identity index ascending, then size descending, then elements.
     """
+    if all_subgroups and table.order > 12:
+        raise ValueError("all-subgroups enumeration is limited to order <= 12")
+    found = [maximal_subgroup_at(table, e) for e in table.idempotents()]
     if all_subgroups:
-        if table.order > 12:
-            raise ValueError("all-subgroups enumeration is limited to order <= 12")
-        found = []
-        for r in range(1, table.order + 1):
-            for subset in itertools.combinations(range(table.order), r):
-                record = _group_from_subset(table, subset)
-                if record is not None:
-                    found.append(record)
-    else:
-        found = [maximal_subgroup_at(table, e) for e in table.idempotents()]
+        found = [h for g in found for h in _subgroups_within(g)]
     return sorted(found, key=lambda g: (g.identity, -g.order, g.elements))
 
 
@@ -193,13 +186,6 @@ class Representation:
 
     def matrix(self, x: int) -> Matrix:
         return self.matrices[x]
-
-    def character(self) -> tuple[Fraction, ...]:
-        """Traces over the sorted subgroup elements."""
-        return tuple(
-            sum(self.matrices[x][i][i] for i in range(self.degree))
-            for x in self.subgroup.elements
-        )
 
     def to_json(self) -> dict:
         return {

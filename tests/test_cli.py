@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smaralg import cli, linalg, ratmat, semigroup
+from smaralg import cli, linalg, polylab, ratmat, semigroup
 from smaralg.cli import main
 
 
@@ -72,6 +72,19 @@ class TestPoly:
     def test_mod_suffix(self, capsys):
         code, report = run_json(capsys, "poly", "x^2+1 mod 5")
         assert code == 0 and report["payload"]["roots"] == [2, 3]
+
+    def test_roots_computed_once_over_a_prime(self, capsys, monkeypatch):
+        calls = []
+        roots_in = polylab.roots_in
+
+        def counting(p, domain):
+            calls.append(p)
+            return roots_in(p, domain)
+
+        monkeypatch.setattr(polylab, "roots_in", counting)
+        code, report = run_json(capsys, "poly", "x^2+1 mod 5")
+        assert code == 0 and report["payload"]["roots"] == [2, 3]
+        assert len(calls) == 1
 
     def test_mod_flag(self, capsys):
         code, report = run_json(capsys, "poly", "x^2+2", "--mod", "6")

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,12 @@ from smaralg.semigroup import (
     validate_table,
 )
 
-from reference_algebra import decompose_whole_space, intertwiner_space_by_constraints
+from reference_algebra import (
+    decompose_whole_space,
+    intertwiner_space_by_constraints,
+    subgroups_by_subset_scan,
+)
+from test_cli_bytes import GROUPS as CLI_GROUPS, _with_zero_one
 
 
 def regular_pair(sub):
@@ -100,6 +107,24 @@ class TestSubgroups:
                 peers = [g for g in everything if g.identity == m.identity]
                 assert max(p.order for p in peers) == m.order
                 assert all(set(p.elements) <= set(m.elements) for p in peers)
+
+    def test_all_subgroups_match_subset_scan(self, t2_table):
+        small = list(_associative_tables(3))
+        assert len(small) == 122  # labelled semigroups: 1 + 8 + 113
+        groups = [validate_table(t) for t in CLI_GROUPS.values()]
+        groups += [validate_table(_with_zero_one(t)) for t in CLI_GROUPS.values() if len(t) <= 6]
+        for table in small + groups + [t2_table, validate_table([[0] * 3] * 3)]:
+            assert find_subgroups(table, all_subgroups=True) == subgroups_by_subset_scan(table)
+
+    def test_closure_route_past_the_subset_scan(self):
+        # order 64: the subset scan would face 2^64 subsets
+        z64 = table_from_operation(range(64), lambda x, y: x * y % 64)
+        units = maximal_subgroup_at(z64, 1)  # C2 x C16
+        start = time.perf_counter()
+        subgroups = semigroup._subgroups_within(units)
+        elapsed = time.perf_counter() - start
+        assert units.order == 32 and len(subgroups) == 14
+        assert elapsed < 0.5, f"{elapsed:.3f} s"
 
     def test_inverse_maps(self, s3_table):
         sub = find_subgroups(s3_table)[0]
@@ -494,6 +519,16 @@ class TestDecomposition:
         big = make_representation(sub, {x: triple(rep.matrix(x)) for x in sub.elements})
         with pytest.raises(ValueError):
             decompose_invariants(big)
+
+
+def _associative_tables(max_order):
+    """Every labelled table of order <= max_order that validate_table accepts."""
+    for m in range(1, max_order + 1):
+        for entries in itertools.product(range(m), repeat=m * m):
+            try:
+                yield validate_table([entries[i * m:(i + 1) * m] for i in range(m)])
+            except TableError:
+                continue
 
 
 def _closure_table(generators, compose):
