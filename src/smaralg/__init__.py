@@ -6,82 +6,75 @@ values, spectral decompositions), polynomial root criteria over prime
 fields, representations of the subgroups of finite semigroups over exact
 rationals, semivector spaces over the nonnegative integers and chain
 lattices, and relaxed Markov/Leontief matrix models.
+
+Importing the package loads no layer module.  Each name below, and each
+layer module, is imported from its home module on first use (PEP 562),
+so ``import smaralg.cli`` pays only for the CLI itself and a subcommand
+only for the layers it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .ringcore import (
-    Subfield,
-    SubfieldRejection,
-    certify_subfield,
-    find_subfields,
-    idempotents,
-    subfield_from_elements,
+_LAYERS = (
+    "econ", "gfmat", "golden", "intpoly", "linalg",
+    "polylab", "ratmat", "ringcore", "semigroup", "semivector",
 )
-from .polylab import (
-    FermatFamily,
-    ModPolynomial,
-    ReducibilityReport,
-    RootClassification,
-    RootTruth,
-    Verdict,
-    block_transform,
-    coeff_sum_hom,
-    fermat_family_check,
-    fermat_power_sum,
-    kernel_of_hom,
-    neutrosophic_classify,
-    parse_poly,
-    reducibility_report,
-    roots_in,
-)
-from .linalg import (
-    CharPolyResult,
-    EigenSystem,
-    SpectralDecomposition,
-    SpectralDiagnostic,
-    SubfieldMatrix,
-    SubfieldVector,
-    bilinear_form_analyze,
-    char_poly,
-    eigen_system,
-    pseudo_inner_product,
-    rref_and_nullspace,
-    self_adjoint_check,
-    spectral_decompose,
-)
-from .semigroup import (
-    Representation,
-    SemigroupTable,
-    Side,
-    SubgroupRecord,
-    averaged_projection,
-    decompose_invariants,
-    find_subgroups,
-    left_right_intertwiner,
-    permutation_representation,
-    regular_representation,
-    rep_isomorphic,
-    validate_table,
-)
-from .semivector import (
-    ChainLattice,
-    DependenceReport,
-    NonNegIntegers,
-    SemivectorTuple,
-    enumerate_representations,
-    independence_check,
-    lattice_semivector_check,
-    span_membership,
-    spans_space,
-)
-from .econ import (
-    LeontiefSolution,
-    MarkovTrajectory,
-    TransitionClassification,
-    TransitionKind,
-    classify_transition,
-    closed_solve,
-    markov_step,
-    open_solve,
-)
+
+# Exported name -> home module.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "ringcore": (
+            "Subfield", "SubfieldRejection", "certify_subfield", "find_subfields",
+            "idempotents", "subfield_from_elements",
+        ),
+        "polylab": (
+            "FermatFamily", "ModPolynomial", "ReducibilityReport", "RootClassification",
+            "RootTruth", "Verdict", "block_transform", "coeff_sum_hom",
+            "fermat_family_check", "fermat_power_sum", "kernel_of_hom",
+            "neutrosophic_classify", "parse_poly", "reducibility_report", "roots_in",
+        ),
+        "linalg": (
+            "CharPolyResult", "EigenSystem", "SpectralDecomposition", "SpectralDiagnostic",
+            "SubfieldMatrix", "SubfieldVector", "bilinear_form_analyze", "char_poly",
+            "eigen_system", "pseudo_inner_product", "rref_and_nullspace",
+            "self_adjoint_check", "spectral_decompose",
+        ),
+        "semigroup": (
+            "Representation", "SemigroupTable", "Side", "SubgroupRecord",
+            "averaged_projection", "decompose_invariants", "find_subgroups",
+            "left_right_intertwiner", "permutation_representation",
+            "regular_representation", "rep_isomorphic", "validate_table",
+        ),
+        "semivector": (
+            "ChainLattice", "DependenceReport", "NonNegIntegers", "SemivectorTuple",
+            "enumerate_representations", "independence_check",
+            "lattice_semivector_check", "span_membership", "spans_space",
+        ),
+        "econ": (
+            "LeontiefSolution", "MarkovTrajectory", "TransitionClassification",
+            "TransitionKind", "classify_transition", "closed_solve", "markov_step",
+            "open_solve",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _LAYERS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,11 @@ key order so output is byte-deterministic.  Exit codes: 0 ok, 1 domain
 error, 2 usage error, 3 internal error (a re-verification or other
 internal invariant failed: a bug, not a fault of the input).  --pretty
 adds a human-readable rendering instead of the compact JSON.
+
+Importing this module loads no layer module: each handler imports the
+layers it uses when it runs, so a process pays only for the layers of
+its own subcommand (check with ``python -X importtime -c "import
+smaralg.cli"``).
 """
 
 from __future__ import annotations
@@ -15,10 +20,6 @@ import json
 import re
 import sys
 from pathlib import Path
-
-from . import econ, golden, linalg, polylab, ratmat, ringcore, semigroup, semivector
-from .ringcore import SubfieldRejection
-from .semigroup import Side, TableError
 
 CITATIONS = {
     "subfields": ["Def 2.4.1", "Thm 2.9.9"],
@@ -54,6 +55,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_rat_matrix(text: str) -> ratmat.Matrix:
+    from . import ratmat
     rows = [row for row in text.strip().split(";") if row.strip()]
     return ratmat.mat(
         [[ratmat.frac_from_json(tok.strip()) for tok in row.split(",")] for row in rows]
@@ -61,6 +63,7 @@ def _parse_rat_matrix(text: str) -> ratmat.Matrix:
 
 
 def _parse_rat_vector(text: str) -> ratmat.Vector:
+    from . import ratmat
     return ratmat.vec([ratmat.frac_from_json(tok.strip()) for tok in text.split(",")])
 
 
@@ -88,6 +91,7 @@ def _checked(value, shape, path: str):
 
 
 def _matrix_from_args(args) -> ratmat.Matrix:
+    from . import ratmat
     if getattr(args, "file", None):
         if not args.file.endswith(".json"):
             raise DomainError("bad_file", "matrix files must be .json")
@@ -104,6 +108,7 @@ _SUBFIELD_MATRIX = {"n": int, "subfield": [int], "rows": int, "cols": int, "entr
 
 
 def _subfield_matrix_from_args(args) -> linalg.SubfieldMatrix:
+    from . import linalg, ringcore
     data = _load_json(args.file) if args.file else json.loads(args.matrix)
     data = _checked(data, _SUBFIELD_MATRIX, "matrix")
     k = ringcore.subfield_from_elements(data["n"], data["subfield"])
@@ -113,6 +118,7 @@ def _subfield_matrix_from_args(args) -> linalg.SubfieldMatrix:
 
 
 def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
+    from . import semigroup
     path = Path(args.file)
     if path.suffix == ".csv":
         raw = [
@@ -124,7 +130,7 @@ def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
         raw = _checked(_load_json(args.file), {"table": object}, "file")["table"]
     try:
         return semigroup.validate_table(raw)
-    except TableError as exc:
+    except semigroup.TableError as exc:
         raise DomainError("invalid_table", str(exc)) from exc
 
 
@@ -132,6 +138,7 @@ def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
 
 
 def cmd_subfields(args):
+    from . import ringcore
     fields = ringcore.find_subfields(args.n)
     payload = [s.to_json() for s in fields]
     pretty = "\n".join(
@@ -143,9 +150,10 @@ def cmd_subfields(args):
 
 
 def cmd_certify(args):
+    from . import ringcore
     try:
         sf = ringcore.certify_subfield(args.n, _parse_int_list(args.elements))
-    except SubfieldRejection as exc:
+    except ringcore.SubfieldRejection as exc:
         raise DomainError(exc.reason, exc.detail) from exc
     payload = sf.to_json()
     payload["to_prime"] = {str(a): sf.to_prime(a) for a in sf.elements}
@@ -155,6 +163,7 @@ def cmd_certify(args):
 
 
 def cmd_poly(args):
+    from . import polylab, ringcore
     p = polylab.parse_poly(args.expr, args.mod)
     payload = {"polynomial": p.to_json()}
     if ringcore._is_prime(p.n):
@@ -170,6 +179,7 @@ def cmd_poly(args):
 
 
 def cmd_spectral(args):
+    from . import linalg
     a = _subfield_matrix_from_args(args)
     es = linalg.eigen_system(a)
     payload = {"eigen_system": es.to_json(), "self_adjoint": linalg.self_adjoint_check(a)}
@@ -186,6 +196,7 @@ def cmd_spectral(args):
 
 
 def cmd_classify_roots(args):
+    from . import polylab, ringcore
     k = ringcore.subfield_from_elements(args.mod, _parse_int_list(args.subfield))
     p = polylab.parse_poly(args.expr, args.mod)
     cls = polylab.neutrosophic_classify(p, k)
@@ -195,6 +206,7 @@ def cmd_classify_roots(args):
 
 
 def cmd_semigroup(args):
+    from . import semigroup
     table = _semigroup_table_from_args(args)
     subs = semigroup.find_subgroups(table, all_subgroups=args.all_subgroups)
     payload = {
@@ -210,6 +222,8 @@ def cmd_semigroup(args):
 
 
 def cmd_rep(args):
+    from . import ratmat, semigroup
+    from .semigroup import Side
     table = _semigroup_table_from_args(args)
     if args.identity not in table.idempotents():
         raise DomainError("no_subgroup", f"no maximal subgroup at idempotent {args.identity}")
@@ -246,6 +260,7 @@ def cmd_rep(args):
 
 
 def _semifield_from_args(args):
+    from . import semivector
     name = args.semifield
     if name == "nonneg":
         return semivector.NonNegIntegers()
@@ -255,6 +270,7 @@ def _semifield_from_args(args):
 
 
 def _tuples_from_text(sf, text: str):
+    from . import semivector
     return [
         semivector.SemivectorTuple(sf, tuple(_parse_int_list(chunk)))
         for chunk in text.split(";")
@@ -263,6 +279,7 @@ def _tuples_from_text(sf, text: str):
 
 
 def cmd_semivec(args):
+    from . import semivector
     if args.action == "lattice-check":
         if not args.lattice:
             raise DomainError("missing_input", "lattice-check needs --lattice")
@@ -312,6 +329,7 @@ def cmd_semivec(args):
 
 
 def cmd_markov(args):
+    from . import econ
     p = _matrix_from_args(args)
     state = _parse_rat_vector(args.state)
     trajectory = econ.markov_step(p, state, args.steps)
@@ -325,6 +343,7 @@ def cmd_markov(args):
 
 
 def cmd_leontief(args):
+    from . import econ
     if args.file and args.file.endswith(".csv"):
         names, matrix = econ.parse_consumption_csv(Path(args.file).read_text())
     else:
@@ -344,6 +363,7 @@ def cmd_leontief(args):
 
 
 def cmd_golden(args):
+    from . import golden
     results = golden.run_golden()
     payload = [
         {"anchor": r.anchor, "description": r.description, "passed": r.passed,

@@ -126,16 +126,20 @@ def _subgroups_within(group: SubgroupRecord) -> list[SubgroupRecord]:
     Each subgroup K found and each g outside it give <K, g>: the set
     reached from the identity by right multiplication with K and g (in a
     finite group the monoid a set generates is the group it generates).
-    Adding its elements one at a time reaches every subgroup.
+    Adding its elements one at a time reaches every subgroup.  Every
+    element of the coset gK generates the same <K, g> (gx and x^-1 lie in
+    it for x in K), so once <K, g> is built the whole coset is skipped.
     """
     e = group.identity
     found = {frozenset((e,))}
     pending = list(found)
     while pending:
         k = pending.pop()
+        done = set(k)
         for g in group.elements:
-            if g in k:
+            if g in done:
                 continue
+            done.update(group.mul(g, x) for x in k)
             generators = k | {g}
             reached, frontier = {e}, {e}
             while frontier:
