@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,6 +187,56 @@ def _first_positive_power(a: Matrix, limit: int) -> int | None:
     return None
 
 
+def _best_on_unit_ball(rows, pivots, dim: int) -> Vector:
+    """The lexicographically least maximizer of sum(x) over the unit
+    1-norm ball of the nullspace W, where rows (with their pivot columns)
+    is the reduced row echelon form cutting out W.
+
+    An exact simplex under Bland's rule over x = p - q with p, q >= 0 and
+    a slack s: R(p - q) = 0 and sum(p) + sum(q) + s = 1.  It minimizes
+    -sum(x), then x_0, ..., x_{dim-1}; after each phase every nonbasic
+    column with a positive reduced cost is zero on the optimal face, so it
+    leaves, and the next phase starts from the same basis on that face.
+    """
+    n = 2 * dim + 1  # columns p_0.., q_0.., s; each row ends with its rhs
+    tableau = [
+        [*row, *(-x for x in row), Fraction(0), Fraction(0)]
+        for row in rows[: len(pivots)]
+    ]
+    # the budget row minus every row of R keeps the pivot columns of p unit columns
+    tableau.append([1 - sum((row[j] for row in tableau), Fraction(0)) for j in range(n)]
+                   + [Fraction(1)])
+    basis = [*pivots, n - 1]
+    alive = list(range(n))
+    costs = [[-1] * dim + [1] * dim + [0]] + [
+        [(j == i) - (j == dim + i) for j in range(n)] for i in range(dim)
+    ]
+    for cost in costs:
+        while True:
+            reduced_cost = {
+                j: cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tableau) if cost[b])
+                for j in alive
+            }
+            enter = next((j for j in alive if reduced_cost[j] < 0), None)
+            if enter is None:
+                alive = [j for j in alive if reduced_cost[j] == 0]
+                break
+            leave = min(
+                (i for i, row in enumerate(tableau) if row[enter] > 0),
+                key=lambda i: (tableau[i][-1] / tableau[i][enter], basis[i]),
+            )
+            pivot_row = tableau[leave] = [x / tableau[leave][enter] for x in tableau[leave]]
+            for i, row in enumerate(tableau):
+                f = row[enter]
+                if i != leave and f:
+                    tableau[i] = [x - f * y for x, y in zip(row, pivot_row)]
+            basis[leave] = enter
+    value = [Fraction(0)] * n
+    for b, row in zip(basis, tableau):
+        value[b] = row[-1]
+    return tuple(value[i] - value[dim + i] for i in range(dim))
+
+
 def closed_solve(a: Matrix) -> LeontiefSolution:
     """Equilibria of Ap = p: the exact nullspace of I - A.
 
@@ -195,14 +244,19 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
     is reported, uniqueness tied to nullity 1 and a positive power of A);
     anything else takes the relaxed path, where no equilibrium may exist
     and multiple independent ones are resolved by the deterministic
-    best-solution policy (least negative mass, then largest sum after
-    1-norm normalization, then lexicographic order).
+    best-solution policy: among the equilibria of 1-norm one, least
+    negative mass, then largest sum, then lexicographic order.  With
+    norm one the negative mass is (1 - sum)/2, so the policy is the
+    exact linear program "maximize the sum over the unit 1-norm ball of
+    the nullspace, then take the lexicographically least maximizer",
+    whose optima all lie on the unit sphere.
     """
     dim = len(a)
     if dim == 0 or any(len(row) != dim for row in a):
         raise ValueError("closed model needs a nonempty square matrix")
     system = ratmat.sub(ratmat.identity(dim), a)
-    basis = tuple(ratmat.nullspace(system))
+    reduced, pivots = ratmat.rref(system)
+    basis = tuple(ratmat.nullspace_from_rref(reduced, pivots, dim))
     for b in basis:
         assert all(x == 0 for x in ratmat.mat_vec(system, b)), "(I-A)p = 0 must hold"
 
@@ -240,21 +294,9 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
             model="closed", path="smarandache", basis=(), no_equilibrium=True
         )
 
-    def normalized_grid():
-        for weights in itertools.product(range(-2, 3), repeat=len(basis)):
-            cand = [Fraction(0)] * dim
-            for w, b in zip(weights, basis):
-                for i, x in enumerate(b):
-                    cand[i] += w * x
-            norm = sum(abs(x) for x in cand)
-            if norm:
-                yield tuple(x / norm for x in cand)
-
-    # the key ends with the candidate, so repeats cannot change the minimum
-    best = min(
-        normalized_grid(),
-        key=lambda c: (sum(max(Fraction(0), -x) for x in c), -sum(c), c),
-    )
+    best = _best_on_unit_ball(reduced, pivots, dim)
+    assert all(x == 0 for x in ratmat.mat_vec(system, best)), "(I-A)p = 0 must hold"
+    assert sum(abs(x) for x in best) == 1, "the best equilibrium must have 1-norm one"
     return LeontiefSolution(
         model="closed",
         path="smarandache",

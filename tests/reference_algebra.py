@@ -9,8 +9,10 @@ polynomial solved one degree at a time, the intertwiner space solved
 from its defining linear constraints, the invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
 every factor of the minimal polynomial tried, the subgroup list that
-certifies every subset of a semigroup table, and the lattice check that
-tests every semivector axiom.
+certifies every subset of a semigroup table, the lattice check that
+tests every semivector axiom, and the best relaxed Leontief equilibrium
+found among the vertices of the unit 1-norm ball of the nullspace or on
+the {-2..2}^k grid of basis weightings.
 """
 
 from __future__ import annotations
@@ -275,6 +277,49 @@ def _group_from_subset(table, elems):
         elements=tuple(elems),
         inverse_pairs=tuple(inverses.items()),
     )
+
+
+def leontief_best_key(x):
+    """The best-solution policy's key for a 1-norm-one equilibrium:
+    negative mass, then minus the sum, then the vector itself."""
+    return (sum(max(Fraction(0), -v) for v in x), -sum(x), tuple(x))
+
+
+def _unit_pair(x):
+    norm = sum(abs(v) for v in x)
+    return [tuple(v / norm for v in x), tuple(-v / norm for v in x)]
+
+
+def best_by_vertex_enumeration(basis):
+    """closed_solve's relaxed best from the vertices of the unit 1-norm
+    ball of W = span(basis): each set of k - 1 zero coordinates that
+    leaves a one-dimensional solution w of the basis weights gives the
+    vertices +-B w / |B w|_1, and the least key among them is the best."""
+    k, dim = len(basis), len(basis[0])
+    vertices = []
+    for zeros in itertools.combinations(range(dim), k - 1):
+        reduced, pivots = rat_rref([[b[i] for b in basis] for i in zeros])
+        if len(pivots) != k - 1:
+            continue
+        free = next(c for c in range(k) if c not in pivots)
+        w = [Fraction(0)] * k
+        w[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            w[c] = -reduced[r][free]
+        vertices += _unit_pair([sum(wj * b[i] for wj, b in zip(w, basis)) for i in range(dim)])
+    return min(vertices, key=leontief_best_key)
+
+
+def best_by_grid(basis):
+    """The least key among the 1-norm-one combinations of the basis with
+    weights in {-2..2}^k: it can miss the policy's optimum, so its key
+    only bounds the best one from above."""
+    candidates = []
+    for weights in itertools.product(range(-2, 3), repeat=len(basis)):
+        x = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(len(basis[0]))]
+        if any(x):
+            candidates.append(_unit_pair(x)[0])
+    return min(candidates, key=leontief_best_key)
 
 
 def lattice_check_all_axioms(join, meet) -> LatticeCheck:

@@ -47,7 +47,7 @@ from smaralg.semivector import (
     spans_space,
 )
 
-from reference_algebra import rref_mod, subfield_oracle
+from reference_algebra import best_by_vertex_enumeration, rref_mod, subfield_oracle
 
 
 class Timer:
@@ -449,3 +449,12 @@ def test_criterion_14_regular_decomposition():
         with Timer(limit, f"criterion 14: {label} regular representation decomposed"):
             blocks = decompose_invariants(rep)
         assert sorted(b.dimension for b in blocks) == dims
+
+
+def test_criterion_15_relaxed_leontief_nullity_8():
+    # A = I - u 1^T with u_i = 1/(i+2): nullity 8, where {-2..2}^8 has 390,625 weightings
+    a = ratmat.mat([[(i == j) - Fraction(1, i + 2) for j in range(9)] for i in range(9)])
+    with Timer(0.1, "criterion 15: relaxed Leontief best equilibrium at nullity 8"):
+        sol = closed_solve(a)
+    assert sol.path == "smarandache" and len(sol.basis) == 8
+    assert sol.best == best_by_vertex_enumeration(sol.basis)

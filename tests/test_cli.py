@@ -370,6 +370,14 @@ class TestEconCli:
         assert code == 0
         assert report["payload"]["representative"] == ["1/3", "2/3"]
 
+    @pytest.mark.parametrize("matrix", ["3,1,3;0,1,0;0,0,1", "2,1,3;0,1,0;0,0,1"])
+    def test_leontief_closed_relaxed_best(self, capsys, matrix):
+        # the {-2..2}^2 basis weightings miss this optimum: their best has
+        # negative mass 2/7 on the first model and a lexicographically
+        # larger vector of the same mass and sum on the second
+        code, report = run_json(capsys, "leontief", "--model", "closed", "--matrix", matrix)
+        assert code == 0 and report["payload"]["best"] == [0, "3/4", "-1/4"]
+
     def test_leontief_open(self, capsys):
         code, report = run_json(
             capsys,

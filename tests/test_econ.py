@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smaralg import ratmat
+from reference_algebra import best_by_grid, best_by_vertex_enumeration, leontief_best_key
+from smaralg import econ, ratmat
 from smaralg.econ import (
     NON_PRODUCTIVE_LABEL,
     TransitionKind,
@@ -161,6 +162,50 @@ class TestClosedModel:
     def test_best_policy_default(self):
         a = m([[1, 1], [0, "1/2"]])
         assert closed_solve(a).best == (Fraction(1), Fraction(0))
+
+    @pytest.mark.parametrize(
+        "rows, path",
+        [
+            ([["1/2", "1/4"], ["1/2", "3/4"]], "classical"),
+            ([[3, 1, 3], [0, 1, 0], [0, 0, 1]], "smarandache"),
+        ],
+    )
+    def test_one_elimination_per_solve(self, rows, path, monkeypatch):
+        calls = []
+        real = ratmat.rref
+        monkeypatch.setattr(ratmat, "rref", lambda *args: calls.append(args) or real(*args))
+        sol = closed_solve(m(rows))
+        assert sol.path == path and sol.basis
+        assert len(calls) == 1
+
+    @st.composite
+    def low_rank_systems(draw):
+        """I - A = U V of rank dim - nullity, dimension <= 6, nullity 1-4."""
+        dim = draw(st.integers(1, 6))
+        rank = dim - draw(st.integers(1, min(4, dim)))
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+        def block(rows, cols):
+            return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows)
+
+        u, v = draw(block(dim, rank)), draw(block(rank, dim))
+        return ratmat.mat_mul(u, v) if rank else ratmat.zeros(dim, dim)
+
+    @given(low_rank_systems())
+    @example(ratmat.zeros(4, 4))  # W = Q^4
+    @example(m([[1, -2, 0], [0, 0, 1], [1, -2, 1]]))  # nullity 1
+    @settings(deadline=None, max_examples=100)
+    def test_best_is_the_exact_optimum(self, system):
+        dim = len(system)
+        reduced, pivots = ratmat.rref(system)
+        basis = ratmat.nullspace_from_rref(reduced, pivots, dim)
+        assume(1 <= len(basis) <= 4)
+        best = econ._best_on_unit_ball(reduced, pivots, dim)
+        assert best == best_by_vertex_enumeration(basis)
+        assert leontief_best_key(best) <= leontief_best_key(best_by_grid(basis))
+        sol = closed_solve(ratmat.sub(ratmat.identity(dim), system))
+        assert sol.best == (best if sol.path == "smarandache" else None)
 
 
 
