@@ -6,11 +6,19 @@ field Z_q and is mapped back entrywise; only the final arithmetic
 identities (A·v = c·v, sum of projections, reconstruction) are stated and
 re-verified directly mod n.  The identity matrix is I_e = diag(e, ..., e)
 with e the subfield identity, which usually is not 1.
+
+Every product is row × column: one kernel dots the rows of the left
+factor (slices of its row-major entries) with the columns of the right
+one (taken once with zip), reducing each entry mod n.  mat_mul,
+apply_matrix and the spectral re-verification all run through it; the
+re-verification still checks every identity of every decomposition, and
+only skips wrapping each product in a validated matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import gfmat, ratmat
 from .polylab import ModPolynomial
@@ -66,9 +74,7 @@ class SubfieldMatrix:
         return self.entries[i * self.cols + j]
 
     def transpose(self) -> "SubfieldMatrix":
-        return SubfieldMatrix.from_rows(
-            self.k, [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return SubfieldMatrix.from_rows(self.k, _columns(self))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -91,6 +97,21 @@ def identity_matrix(k: Subfield, dim: int) -> SubfieldMatrix:
     )
 
 
+def _rows(a: SubfieldMatrix) -> list[tuple[int, ...]]:
+    c = a.cols
+    return [a.entries[i:i + c] for i in range(0, len(a.entries), c)]
+
+
+def _columns(a: SubfieldMatrix) -> list[tuple[int, ...]]:
+    return list(zip(*_rows(a)))
+
+
+def _products(rows, cols, n: int) -> tuple[int, ...]:
+    """Row-major entries of the product whose left factor has these rows
+    and whose right factor has these columns, mod n."""
+    return tuple(sum(map(mul, row, col)) % n for row in rows for col in cols)
+
+
 def _same_space(a, b) -> None:
     if a.k != b.k:
         raise ValueError("operands live over different subfields")
@@ -108,24 +129,14 @@ def mat_mul(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
     _same_space(a, b)
     if a.cols != b.rows:
         raise ValueError("shape mismatch for multiplication")
-    n = a.n
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            out.append(sum(a.at(i, t) * b.at(t, j) for t in range(a.cols)) % n)
-    return SubfieldMatrix(a.k, a.rows, b.cols, tuple(out))
+    return SubfieldMatrix(a.k, a.rows, b.cols, _products(_rows(a), _columns(b), a.n))
 
 
 def apply_matrix(a: SubfieldMatrix, v: SubfieldVector) -> SubfieldVector:
     _same_space(a, v)
     if a.cols != len(v.entries):
         raise ValueError("shape mismatch for matrix-vector product")
-    n = a.n
-    out = tuple(
-        sum(a.at(i, j) * v.entries[j] for j in range(a.cols)) % n
-        for i in range(a.rows)
-    )
-    return SubfieldVector(a.k, out)
+    return SubfieldVector(a.k, _products(_rows(a), (v.entries,), a.n))
 
 
 def scalar_mul(c: int, a: SubfieldMatrix) -> SubfieldMatrix:
@@ -324,7 +335,7 @@ def self_adjoint_check(a: SubfieldMatrix) -> bool:
     pseudo inner product in standard coordinates)."""
     if not a.is_square():
         raise ValueError("adjoint comparison needs a square matrix")
-    return a.entries == a.transpose().entries
+    return _rows(a) == _columns(a)
 
 
 @dataclass(frozen=True)
@@ -397,35 +408,35 @@ def _spectral_from_eigen(es: EigenSystem):
         blocks.append(range(len(columns), len(columns) + len(ev.basis)))
         for v in ev.basis:
             columns.append([k.to_prime(x) for x in v.entries])
-    basis_mat = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-    inv = ratmat.inverse(basis_mat, ratmat.prime_field(q))
+    inv = ratmat.inverse(list(zip(*columns)), ratmat.prime_field(q))
     assert inv is not None, "eigenbasis must be invertible when diagonalizable"
 
     # E_i = B D_i B^-1 with D_i the 0/1 diagonal of eigenvalue i's columns,
     # so E_i is those columns of B times the same rows of B^-1
     terms = []
     for block, ev in zip(blocks, es.s_values):
-        e_prime = [
-            [sum(columns[t][i] * inv[t][j] for t in block) % q for j in range(dim)]
-            for i in range(dim)
-        ]
-        terms.append((ev.value, from_prime_matrix(k, e_prime)))
+        b_rows = list(zip(*(columns[t] for t in block)))
+        inv_cols = list(zip(*(inv[t] for t in block)))
+        e_prime = _products(b_rows, inv_cols, q)
+        proj = SubfieldMatrix(k, dim, dim, tuple(map(k.from_prime, e_prime)))
+        terms.append((ev.value, proj))
 
-    ident = identity_matrix(k, dim)
-    zero = SubfieldMatrix(k, dim, dim, (0,) * (dim * dim))
-    total = zero
-    recon = zero
-    for c, proj in terms:
-        assert mat_mul(proj, proj).entries == proj.entries, "E_i must be idempotent"
-        total = mat_add(total, proj)
-        recon = mat_add(recon, scalar_mul(c, proj))
+    n = k.n
+    rows = [_rows(proj) for _, proj in terms]
+    cols = [_columns(proj) for _, proj in terms]
+    zero = (0,) * (dim * dim)
+    for (_, proj), r, c in zip(terms, rows, cols):
+        assert _products(r, c, n) == proj.entries, "E_i must be idempotent"
     for i in range(len(terms)):
         for j in range(len(terms)):
             if i != j:
-                prod = mat_mul(terms[i][1], terms[j][1])
-                assert prod.entries == zero.entries, "E_i E_j must vanish for i != j"
-    assert total.entries == ident.entries, "projections must sum to I_e"
-    assert recon.entries == a.entries, "sum of c_i E_i must reconstruct A"
+                assert _products(rows[i], cols[j], n) == zero, "E_i E_j must vanish for i != j"
+    by_entry = list(zip(*(proj.entries for _, proj in terms)))  # (E_1[x], E_2[x], ...)
+    total = tuple(sum(xs) % n for xs in by_entry)
+    assert total == identity_matrix(k, dim).entries, "projections must sum to I_e"
+    values = [c for c, _ in terms]
+    recon = tuple(sum(map(mul, values, xs)) % n for xs in by_entry)
+    assert recon == a.entries, "sum of c_i E_i must reconstruct A"
 
     orthogonal = True
     for i in range(len(es.s_values)):

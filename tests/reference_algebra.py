@@ -4,7 +4,9 @@ Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
 search, the separate Z_q and rational Gauss-Jordan loops that the one
 elimination kernel in ``smaralg.ratmat`` replaced, the dense matrix
-products that ratmat's zero-skipping ones replaced, the minimal
+products that ratmat's zero-skipping ones replaced, the subfield matrix
+products read one ``at()`` entry at a time that linalg's row-by-column
+kernel replaced, the minimal
 polynomial solved one degree at a time, the intertwiner space solved
 from its defining linear constraints, the invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
@@ -22,6 +24,7 @@ import itertools
 from fractions import Fraction
 
 from smaralg import intpoly, ratmat, semigroup
+from smaralg.linalg import SubfieldMatrix, SubfieldVector
 from smaralg.ringcore import SubfieldRejection, certify_subfield
 from smaralg.semivector import LatticeCheck
 
@@ -141,6 +144,43 @@ def dense_mat_mul(a, b):
 def dense_mat_vec(a, v):
     v = [Fraction(x) for x in v]
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _same_subfield(a, b) -> None:
+    if a.k != b.k:
+        raise ValueError("operands live over different subfields")
+
+
+def mat_mul_by_entries(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
+    """A·B mod n over a subfield, each entry a sum of at() products."""
+    _same_subfield(a, b)
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch for multiplication")
+    n = a.n
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            out.append(sum(a.at(i, t) * b.at(t, j) for t in range(a.cols)) % n)
+    return SubfieldMatrix(a.k, a.rows, b.cols, tuple(out))
+
+
+def apply_matrix_by_entries(a: SubfieldMatrix, v: SubfieldVector) -> SubfieldVector:
+    """A·v mod n over a subfield, each entry a sum of at() products."""
+    _same_subfield(a, v)
+    if a.cols != len(v.entries):
+        raise ValueError("shape mismatch for matrix-vector product")
+    n = a.n
+    out = tuple(
+        sum(a.at(i, j) * v.entries[j] for j in range(a.cols)) % n
+        for i in range(a.rows)
+    )
+    return SubfieldVector(a.k, out)
+
+
+def transpose_by_entries(a: SubfieldMatrix) -> SubfieldMatrix:
+    return SubfieldMatrix.from_rows(
+        a.k, [[a.at(i, j) for i in range(a.rows)] for j in range(a.cols)]
+    )
 
 
 def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):

@@ -47,7 +47,12 @@ from smaralg.semivector import (
     spans_space,
 )
 
-from reference_algebra import best_by_vertex_enumeration, rref_mod, subfield_oracle
+from reference_algebra import (
+    best_by_vertex_enumeration,
+    mat_mul_by_entries,
+    rref_mod,
+    subfield_oracle,
+)
 
 
 class Timer:
@@ -458,3 +463,20 @@ def test_criterion_15_relaxed_leontief_nullity_8():
         sol = closed_solve(a)
     assert sol.path == "smarandache" and len(sol.basis) == 8
     assert sol.best == best_by_vertex_enumeration(sol.basis)
+
+
+def test_criterion_16_spectral_dimension_16():
+    from test_linalg import self_adjoint_by_reflections
+
+    # sixteen distinct eigenvalues over the order-17 subfield {0, 2, ..., 32} of Z_34
+    k = certify_subfield(34, set(range(0, 34, 2)))
+    a = self_adjoint_by_reflections(random.Random(16), k, list(range(1, 17)))
+    with Timer(0.12, "criterion 16: spectral decomposition over Z_34 at dimension 16"):
+        sd = linalg.spectral_decompose(a)
+    assert isinstance(sd, linalg.SpectralDecomposition) and len(sd.terms) == 16
+    assert sorted(k.to_prime(c) for c, _ in sd.terms) == list(range(1, 17))
+    ident = linalg.identity_matrix(k, 16)
+    recon = linalg.SubfieldMatrix(k, 16, 16, (0,) * 256)
+    for c, e in sd.terms:
+        recon = linalg.mat_add(recon, mat_mul_by_entries(linalg.scalar_mul(c, ident), e))
+    assert recon.entries == a.entries

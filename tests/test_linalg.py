@@ -1,9 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from smaralg import linalg, ratmat
+from reference_algebra import apply_matrix_by_entries, mat_mul_by_entries, transpose_by_entries
+from smaralg import cli, linalg, ratmat
 from smaralg.linalg import (
     SpectralDecomposition,
     SpectralDiagnostic,
@@ -25,7 +29,7 @@ from smaralg.linalg import (
     from_prime_matrix,
 )
 from smaralg.polylab import ModPolynomial
-from smaralg.ringcore import Subfield, certify_subfield
+from smaralg.ringcore import Subfield, certify_subfield, find_subfields
 
 Z3 = Subfield.whole_prime(3)
 K03 = certify_subfield(6, {0, 3})
@@ -46,6 +50,30 @@ def random_matrix(rng, k, dim):
     return SubfieldMatrix(
         k, dim, dim, tuple(rng.choice(k.elements) for _ in range(dim * dim))
     )
+
+
+def _mat_mul_mod(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def self_adjoint_by_reflections(rng, k, diagonal):
+    """Q·diag·Qᵀ over k with Q a product of three reflections
+    I - 2vvᵀ/(vᵀv) over Z_q: Q is orthogonal, so the matrix is symmetric
+    and diagonalizable with exactly the given eigenvalues (in Z_q)."""
+    q, dim = k.prime_order, len(diagonal)
+    qm = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3):
+        while True:
+            v = [rng.randrange(q) for _ in range(dim)]
+            s = sum(x * x for x in v) % q
+            if s:
+                break
+        two_over = 2 * pow(s, -1, q)
+        h = [[((i == j) - two_over * v[i] * v[j]) % q for j in range(dim)] for i in range(dim)]
+        qm = _mat_mul_mod(qm, h, q)
+    d = [[diagonal[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    prime = _mat_mul_mod(_mat_mul_mod(qm, d, q), [list(c) for c in zip(*qm)], q)
+    return from_prime_matrix(k, prime)
 
 
 class TestConstruction:
@@ -85,8 +113,63 @@ class TestArithmetic:
     def test_mismatches(self):
         with pytest.raises(ValueError):
             mat_add(z6_matrix(), z3_matrix())
-        with pytest.raises(ValueError):
-            mat_mul(z6_matrix(), SubfieldMatrix(K024, 1, 1, (2,)))
+        # the products and their entrywise oracles reject with the same message
+        a = z6_matrix()
+        cases = [
+            (mat_mul, mat_mul_by_entries, SubfieldMatrix(K024, 1, 1, (2,)),
+             "shape mismatch for multiplication"),
+            (apply_matrix, apply_matrix_by_entries, SubfieldVector(K024, (2,)),
+             "shape mismatch for matrix-vector product"),
+            (mat_mul, mat_mul_by_entries, z3_matrix(), "operands live over different subfields"),
+            (apply_matrix, apply_matrix_by_entries, SubfieldVector(Z3, (1, 1, 1)),
+             "operands live over different subfields"),
+        ]
+        for fast, oracle, other, message in cases:
+            for fn in (fast, oracle):
+                with pytest.raises(ValueError) as exc:
+                    fn(a, other)
+                assert str(exc.value) == message
+
+
+# {0,2,4} in Z_6, every subfield of Z_10 and Z_26, and the whole Z_13
+PRODUCT_CARRIERS = [K024, *find_subfields(10), *find_subfields(26), Subfield.whole_prime(13)]
+
+
+@st.composite
+def product_operands(draw):
+    """(A, B, v) over one carrier with A r×m, B m×c and v of length m."""
+    k = draw(st.sampled_from(PRODUCT_CARRIERS))
+    r, m, c = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def entries(size):
+        return draw(st.lists(st.sampled_from(k.elements), min_size=size, max_size=size))
+
+    return (
+        SubfieldMatrix(k, r, m, tuple(entries(r * m))),
+        SubfieldMatrix(k, m, c, tuple(entries(m * c))),
+        SubfieldVector(k, tuple(entries(m))),
+    )
+
+
+class TestRowColumnProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands())
+    @example((SubfieldMatrix(K024, 1, 1, (4,)), SubfieldMatrix(K024, 1, 1, (2,)),
+              SubfieldVector(K024, (2,))))
+    @example((SubfieldMatrix(K024, 1, 3, (2, 4, 4)), SubfieldMatrix(K024, 3, 1, (4, 2, 2)),
+              SubfieldVector(K024, (2, 0, 4))))
+    @example((SubfieldMatrix(K024, 3, 1, (2, 4, 4)), SubfieldMatrix(K024, 1, 3, (4, 2, 2)),
+              SubfieldVector(K024, (4,))))
+    def test_match_entrywise_oracles(self, operands):
+        a, b, v = operands
+        assert mat_mul(a, b) == mat_mul_by_entries(a, b)
+        assert apply_matrix(a, v) == apply_matrix_by_entries(a, v)
+        assert a.transpose() == transpose_by_entries(a)
+        assert b.transpose() == transpose_by_entries(b)
+        ab = mat_mul(a, b)
+        if ab.is_square():
+            assert self_adjoint_check(ab) == (ab == transpose_by_entries(ab))
+        assert self_adjoint_check(mat_mul(a, a.transpose()))
 
 
 class TestPrimeTransport:
@@ -413,6 +496,11 @@ class TestSpectral:
                 assert recon.entries == a.entries
                 count += 1
 
+    def test_dimension_5_from_reflections(self):
+        a = dimension_5_self_adjoint()
+        sd = spectral_decompose(a)
+        assert sorted(a.k.to_prime(c) for c, _ in sd.terms) == [1, 4, 9, 12]
+
     def test_pseudo_orthogonality_for_distinct_values(self):
         sd = spectral_decompose(z6_matrix())
         es = eigen_system(z6_matrix())
@@ -423,6 +511,51 @@ class TestSpectral:
                 for u in evi.basis:
                     for v in evj.basis:
                         assert pseudo_inner_product(u, v) == 0
+
+
+REVERIFICATION_MESSAGES = {
+    "E_i must be idempotent",
+    "E_i E_j must vanish for i != j",
+    "projections must sum to I_e",
+    "sum of c_i E_i must reconstruct A",
+}
+
+
+def dimension_5_self_adjoint():
+    k = find_subfields(26)[-1]  # order 13 inside Z_26, identity 14
+    return self_adjoint_by_reflections(random.Random(5), k, [1, 1, 4, 9, 12])
+
+
+@pytest.mark.parametrize("make", [z6_matrix, dimension_5_self_adjoint])
+class TestProjectionReverificationFires:
+    """An eigenbasis inverse that is wrong in one entry gives projections
+    that sum to B·B'^-1 != I_e, so some identity of the decomposition
+    must fail its assert."""
+
+    @pytest.fixture(autouse=True)
+    def off_by_one_inverse(self, make, monkeypatch):
+        real = ratmat.inverse
+        q = make().k.prime_order
+
+        def inverse(m, field=ratmat.Q):
+            rows = [list(row) for row in real(m, field)]
+            rows[0][0] = (rows[0][0] + 1) % q
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(linalg.ratmat, "inverse", inverse)
+
+    def test_spectral_decompose_raises(self, make):
+        with pytest.raises(AssertionError) as exc:
+            spectral_decompose(make())
+        assert str(exc.value) in REVERIFICATION_MESSAGES
+
+    def test_cli_exits_internal_error(self, make, capsys):
+        code = cli.main(["spectral", "--matrix", json.dumps(make().to_json())])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3 and report["status"] == "error"
+        assert report["payload"]["reason"] == "internal_error"
+        kind, _, message = report["payload"]["message"].partition(": ")
+        assert kind == "AssertionError" and message in REVERIFICATION_MESSAGES
 
 
 class TestBilinearForm:
