@@ -21,16 +21,23 @@ scan, but a prefix is entered only when it can still be completed:
 - over the nonnegative integers by reachability of the residual target
   t - (prefix combination), which must stay >= 0 and within what the
   later generators can cover; the residuals the last generators can
-  cover are tabulated exactly, and a (generator index, residual) state
+  cover are tabulated exactly, each packed into one int with a guard
+  bit per coordinate so that a table level is built by int additions
+  and one mask test per sum, and a (generator index, residual) state
   whose subtree held no solution is remembered for the rest of the call
   and never entered again.
 
-Every returned coefficient tuple is re-verified with ``combine``.
+The semifield operations are builtins (``max``/``min`` over a chain,
+``operator.add``/``operator.mul`` over the integers).  Every returned
+coefficient tuple is re-verified with ``combine``, which recomputes it
+from scratch one coordinate at a time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 
 @dataclass(frozen=True)
@@ -44,12 +51,7 @@ class NonNegIntegers:
 
     zero = 0
     one = 1
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
+    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
 
     def to_json(self):
         return {"kind": "nonneg"}
@@ -77,11 +79,7 @@ class ChainLattice:
     def one(self) -> int:
         return self.size - 1
 
-    def add(self, a: int, b: int) -> int:
-        return max(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        return min(a, b)
+    add, mul = staticmethod(max), staticmethod(min)  # join and meet
 
     def carrier(self) -> range:
         return range(self.size)
@@ -109,13 +107,14 @@ class SemivectorTuple:
 
 
 def combine(semifield, coeffs, vectors) -> tuple:
-    """sum_i c_i * v_i with the semifield's operations, componentwise."""
-    length = len(vectors[0].entries) if vectors else 0
-    acc = [semifield.zero] * length
-    for c, v in zip(coeffs, vectors):
-        for i, x in enumerate(v.entries):
-            acc[i] = semifield.add(acc[i], semifield.mul(c, x))
-    return tuple(acc)
+    """sum_i c_i * v_i with the semifield's operations, one coordinate
+    (column of the family) at a time; coefficients beyond the family, or
+    vectors beyond the coefficients, take no part."""
+    add, mul, zero = semifield.add, semifield.mul, semifield.zero
+    return tuple(
+        reduce(add, map(mul, coeffs, column), zero)
+        for column in zip(*(v.entries for v in vectors))
+    )
 
 
 def _check_family(vectors):
@@ -208,34 +207,60 @@ def _chain_bounds(sf, target, generators, ranges):
 _EXACT_SET_WORK = 1024
 
 
+def _exact_residual_sets(target, generators, ranges):
+    """(exact, pack): exact[i] holds, packed, every residual that
+    generators i..k-1 cover without exceeding the target, built from the
+    last generator up while len(exact[i + 1]) * len(ranges[i]) stays
+    within _EXACT_SET_WORK: the deepest levels hold most of the search
+    states.
+
+    pack(r) is one int of w = max(t).bit_length() + 2 bits per
+    coordinate, field j holding 2^(w-1) - 1 - t_j + r_j.  Each step
+    c * g_i is packed without the offset, and only when it is <= t (so
+    explicit scalars that overshoot are dropped); a field of base + step
+    then stays below 2^w, so no carry crosses into the next field, and
+    its top bit is set exactly when the sum exceeds t_j.  A sum therefore
+    stays within the target exactly when it has no bit of guard.
+    """
+    t = target.entries
+    w = max(t, default=0).bit_length() + 2
+    shifts = range(0, w * len(t), w)
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    zero = sum(((1 << (w - 1)) - 1 - tj) << s for tj, s in zip(t, shifts))
+
+    def pack(residual):
+        return zero + sum(map(operator.lshift, residual, shifts))
+
+    exact = {len(generators): {zero}}
+    i = len(generators) - 1
+    while i >= 0 and len(exact[i + 1]) * len(ranges[i]) <= _EXACT_SET_WORK:
+        steps = set()
+        for c in ranges[i]:
+            step = [c * x for x in generators[i].entries]
+            if all(map(operator.le, step, t)):
+                steps.add(sum(map(operator.lshift, step, shifts)))
+        exact[i] = {
+            s for base in exact[i + 1] for step in steps if not (s := base + step) & guard
+        }
+        i -= 1
+    return exact, pack
+
+
 def _nonneg_bounds(target, generators, ranges):
     """(candidates, completes) for the residual search over the
     nonnegative integers with nonnegative scalars.
 
     Every term is >= 0, so no coefficient may take the residual below 0,
-    and generators i..k-1 cover at most reach[i] in each coordinate.
-    exact[i] holds every residual generators i..k-1 cover, built from the
-    last generator up while that stays under _EXACT_SET_WORK tuples: the
-    deepest levels hold most of the search states.
+    and generators i..k-1 cover at most reach[i] in each coordinate; at
+    the levels that ``_exact_residual_sets`` tabulates, a residual
+    completes exactly when its packed form is in the table.
     """
-    t = target.entries
-    k = len(generators)
-    reach = [(0,) * len(t)]
+    reach = [(0,) * len(target.entries)]
     for g, r in zip(reversed(generators), reversed(ranges)):
         top = max(r, default=0)
         reach.append(tuple(m + top * x for m, x in zip(reach[-1], g.entries)))
     reach.reverse()
-    exact = {k: {reach[k]}}
-    i = k - 1
-    while i >= 0 and len(exact[i + 1]) * len(ranges[i]) <= _EXACT_SET_WORK:
-        g = generators[i].entries
-        sums = (
-            tuple(b + c * x for b, x in zip(base, g))
-            for base in exact[i + 1]
-            for c in ranges[i]
-        )
-        exact[i] = {v for v in sums if all(x <= y for x, y in zip(v, t))}
-        i -= 1
+    exact, pack = _exact_residual_sets(target, generators, ranges)
 
     def candidates(i, residual):
         cap = min(
@@ -245,7 +270,7 @@ def _nonneg_bounds(target, generators, ranges):
 
     def completes(i, residual):
         if i in exact:
-            return residual in exact[i]
+            return pack(residual) in exact[i]
         return all(r <= m for r, m in zip(residual, reach[i]))
 
     return candidates, completes
@@ -267,16 +292,20 @@ def _solutions(sf, target, generators, ranges):
     k = len(generators)
     if isinstance(sf, ChainLattice):
         start = (sf.zero,) * len(t)
+        meets = [{} for _ in generators]  # c -> meet of c with generator i
 
-        def step(acc, g, c):
-            return tuple(max(a, min(c, x)) for a, x in zip(acc, g.entries))
+        def step(acc, i, c):
+            meet = meets[i].get(c)
+            if meet is None:
+                meet = meets[i][c] = tuple(min(c, x) for x in generators[i].entries)
+            return tuple(map(max, acc, meet))
 
         candidates, completes = _chain_bounds(sf, target, generators, ranges)
     else:
         start = t
 
-        def step(residual, g, c):
-            return tuple(r - c * x for r, x in zip(residual, g.entries))
+        def step(residual, i, c):
+            return tuple(r - c * x for r, x in zip(residual, generators[i].entries))
 
         candidates, completes = _nonneg_bounds(target, generators, ranges)
 
@@ -303,7 +332,7 @@ def _solutions(sf, target, generators, ranges):
             if prefix:
                 prefix.pop()
             continue
-        state = step(states[i], generators[i], c)
+        state = step(states[i], i, c)
         if (i + 1, state) in dead or not completes(i + 1, state):
             continue
         if i + 1 == k:

@@ -12,7 +12,9 @@ from its defining linear constraints, the invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
 every factor of the minimal polynomial tried, the subgroup list that
 certifies every subset of a semigroup table, the lattice check that
-tests every semivector axiom, and the best relaxed Leontief equilibrium
+tests every semivector axiom, the semivector combination folded one
+vector at a time and the exact residual sets of the nonnegative-integer
+search built as tuples, and the best relaxed Leontief equilibrium
 found among the vertices of the unit 1-norm ball of the nullspace or on
 the {-2..2}^k grid of basis weightings.
 """
@@ -26,7 +28,7 @@ from fractions import Fraction
 from smaralg import intpoly, ratmat, semigroup
 from smaralg.linalg import SubfieldMatrix, SubfieldVector
 from smaralg.ringcore import SubfieldRejection, certify_subfield
-from smaralg.semivector import LatticeCheck
+from smaralg.semivector import _EXACT_SET_WORK, LatticeCheck
 
 
 def subfield_oracle(n: int):
@@ -413,3 +415,34 @@ def lattice_check_all_axioms(join, meet) -> LatticeCheck:
             if meet[s][join[a][b]] != join[meet[s][a]][meet[s][b]]:
                 return LatticeCheck(False, "vector_sum_distributes", (s, a, b))
     return LatticeCheck(True)
+
+
+def combine_by_fold(semifield, coeffs, vectors) -> tuple:
+    """semivector.combine folded one vector at a time into a list of
+    coordinates with the semifield's add and mul."""
+    length = len(vectors[0].entries) if vectors else 0
+    acc = [semifield.zero] * length
+    for c, v in zip(coeffs, vectors):
+        for i, x in enumerate(v.entries):
+            acc[i] = semifield.add(acc[i], semifield.mul(c, x))
+    return tuple(acc)
+
+
+def nonneg_exact_sets_by_tuples(target, generators, ranges) -> dict:
+    """The tables of semivector._exact_residual_sets, unpacked: level i
+    holds, as tuples, every combination of generators i..k-1 over their
+    ranges that stays <= the target, for the same levels."""
+    t = target.entries
+    k = len(generators)
+    exact = {k: {(0,) * len(t)}}
+    i = k - 1
+    while i >= 0 and len(exact[i + 1]) * len(ranges[i]) <= _EXACT_SET_WORK:
+        g = generators[i].entries
+        sums = (
+            tuple(b + c * x for b, x in zip(base, g))
+            for base in exact[i + 1]
+            for c in ranges[i]
+        )
+        exact[i] = {v for v in sums if all(x <= y for x, y in zip(v, t))}
+        i -= 1
+    return exact

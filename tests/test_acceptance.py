@@ -480,3 +480,27 @@ def test_criterion_16_spectral_dimension_16():
     for c, e in sd.terms:
         recon = linalg.mat_add(recon, mat_mul_by_entries(linalg.scalar_mul(c, ident), e))
     assert recon.entries == a.entries
+
+
+def test_criterion_17_nonneg_residual_sets():
+    from test_semivector import product_enumerate, product_span
+
+    nn = NonNegIntegers()
+
+    def family(text):
+        return [SemivectorTuple(nn, tuple(map(int, row.split(",")))) for row in text.split(";")]
+
+    # the nonnegative-integer tail jobs of the semivec workload
+    jobs = [
+        (span_membership, product_span, family("2,3,2;3,1,2;3,1,2;1,1,2"), family("22,13,18")[0]),
+        (enumerate_representations, product_enumerate,
+         family("3,2,1;4,2,3;1,3,1;2,1,4"), family("26,22,19")[0]),
+        (span_membership, product_span,
+         family("1,3,1;3,2,3;1,3,1;1,1,1;4,4,3"), family("10,14,10")[0]),
+    ]
+    with Timer(0.15, "criterion 17: 600 nonnegative-integer searches"):
+        results = [[search(target, gens) for _ in range(200)] for search, _, gens, target in jobs]
+    for runs, (_, oracle, gens, target) in zip(results, jobs):
+        assert all(r == runs[0] for r in runs)
+        assert runs[0] == oracle(target, gens)
+    assert results[2][0].coefficients == (0, 0, 2, 8, 0)

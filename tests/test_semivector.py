@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smaralg import semivector
@@ -14,6 +14,7 @@ from smaralg.semivector import (
     SpanResult,
     _check_family,
     _coefficient_ranges,
+    _exact_residual_sets,
     chain_tables,
     combine,
     enumerate_representations,
@@ -23,7 +24,11 @@ from smaralg.semivector import (
     spans_space,
 )
 
-from reference_algebra import lattice_check_all_axioms
+from reference_algebra import (
+    combine_by_fold,
+    lattice_check_all_axioms,
+    nonneg_exact_sets_by_tuples,
+)
 
 NN = NonNegIntegers()
 
@@ -145,23 +150,38 @@ def outcome(fn, *args):
     return result if isinstance(result, list) else result.to_json()
 
 
+# Target entries where the packed residual fields of the exact sets
+# change width: w = t.bit_length() + 2 bits for t = 2^m - 1 and 2^m.
+CARRY_BOUNDARIES = sorted({2**m - 1 for m in range(7)} | {2**m for m in range(7)})
+
+
 @st.composite
-def problems(draw):
+def problems(draw, kinds=("chain", "nonneg", "carry")):
     """(generators, target, scalars) over C_2..C_6 or the nonnegative
     integers: zero and duplicate generators, tuple lengths 0-3, and
     scalars that are absent, unsorted, repeated, negative or outside the
-    chain's carrier."""
-    if draw(st.booleans()):
+    chain's carrier.  The "carry" kind draws nonnegative target entries
+    at 2^m - 1 and 2^m (m <= 6) or up to 40, at most three generators
+    with entries up to 40 (so the product oracle stays cheap), and
+    scalars up to 70, which may overshoot the target."""
+    kind = draw(st.sampled_from(kinds))
+    max_generators = 4
+    if kind == "chain":
         sf = ChainLattice(draw(st.integers(2, 6)))
         entry = target_entry = st.integers(0, sf.size - 1)
-        top = sf.size - 1
+        scalar = st.integers(-1, sf.size)
+    elif kind == "nonneg":
+        sf, entry, target_entry = NN, st.integers(0, 4), st.integers(0, 8)
+        scalar = st.integers(-1, 5)
     else:
-        sf, entry, target_entry, top = NN, st.integers(0, 4), st.integers(0, 8), 4
+        sf, entry, max_generators = NN, st.integers(0, 40), 3
+        target_entry = st.sampled_from(CARRY_BOUNDARIES) | st.integers(0, 40)
+        scalar = st.integers(0, 70)
     d = draw(st.integers(0, 3))
     tuples = st.lists(entry, min_size=d, max_size=d).map(lambda e: SemivectorTuple(sf, e))
-    generators = draw(st.lists(tuples, max_size=4))
+    generators = draw(st.lists(tuples, max_size=max_generators))
     target = SemivectorTuple(sf, draw(st.lists(target_entry, min_size=d, max_size=d)))
-    scalars = draw(st.none() | st.lists(st.integers(-1, top + 1), max_size=4))
+    scalars = draw(st.none() | st.lists(scalar, max_size=4))
     return generators, target, scalars
 
 
@@ -178,6 +198,8 @@ FIXED_PROBLEMS = [
     ([(1,), (2,)], (1,), [1, -1, 0], None),
     # a scalar outside the chain's carrier
     ([(2,), (1,)], (3,), [0, 7], 4),
+    # the exact residual sets reach the work cap before level 0
+    ([(3, 2, 1), (4, 2, 3), (1, 3, 1), (2, 1, 4)], (26, 22, 19), None, None),
 ]
 
 
@@ -239,6 +261,72 @@ def test_pruned_search_matches_product_oracle_fixed(case):
 @given(problems())
 def test_pruned_search_matches_product_oracle(problem):
     assert_matches_oracles(*problem)
+
+
+def unpack(packed, t):
+    """The residual of a packed table entry: w = max(t).bit_length() + 2
+    bits per coordinate, coordinate j offset by 2^(w-1) - 1 - t_j."""
+    w = max(t, default=0).bit_length() + 2
+    return tuple(
+        ((packed >> (j * w)) & ((1 << w) - 1)) - ((1 << (w - 1)) - 1 - tj)
+        for j, tj in enumerate(t)
+    )
+
+
+def assert_exact_sets_match_oracle(target, generators, ranges):
+    exact, pack = _exact_residual_sets(target, generators, ranges)
+    expected = nonneg_exact_sets_by_tuples(target, generators, ranges)
+    assert exact.keys() == expected.keys()
+    for level, table in exact.items():
+        assert {unpack(p, target.entries) for p in table} == expected[level]
+        assert {pack(r) for r in expected[level]} == table
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(kinds=("nonneg", "carry")))
+def test_packed_exact_sets_match_tuple_oracle(problem):
+    generators, target, scalars = problem
+    try:
+        ranges = _coefficient_ranges(target, generators, scalars)
+    except ValueError:
+        assume(False)
+    assert_exact_sets_match_oracle(target, generators, ranges)
+
+
+def test_exact_sets_stop_at_work_cap():
+    generators, target, _ = fixed_problem(*FIXED_PROBLEMS[-1])
+    ranges = _coefficient_ranges(target, generators, None)
+    assert sorted(_exact_residual_sets(target, generators, ranges)[0]) == [1, 2, 3, 4]
+    assert_exact_sets_match_oracle(target, generators, ranges)
+
+
+@st.composite
+def combinations(draw):
+    """(semifield, coefficients, family): C_2..C_6 or the nonnegative
+    integers, 0-4 tuples of length 0-3, and up to one coefficient more
+    than the family has tuples."""
+    if draw(st.booleans()):
+        sf = ChainLattice(draw(st.integers(2, 6)))
+        element = st.integers(0, sf.size - 1)
+    else:
+        sf, element = NN, st.integers(0, 50)
+    d = draw(st.integers(0, 3))
+    family = draw(
+        st.lists(
+            st.lists(element, min_size=d, max_size=d).map(
+                lambda e: SemivectorTuple(sf, e)
+            ),
+            max_size=4,
+        )
+    )
+    coeffs = draw(st.lists(element, max_size=len(family) + 1))
+    return sf, tuple(coeffs), family
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations())
+def test_combine_matches_fold_oracle(case):
+    assert combine(*case) == combine_by_fold(*case)
 
 
 def test_overshoot_oracle_agrees_with_product_oracle():
