@@ -577,10 +577,7 @@ def _decompose(rep: Representation) -> list[InvariantBlock]:
         scaled = _integer_scaled(cand)
         minp = ratmat.min_poly(scaled)
         assert all(c.denominator == 1 for c in minp), "an integer matrix has an integer minp"
-        try:
-            factors = intpoly.factor_monic([int(c) for c in minp])
-        except ValueError:
-            continue
+        factors = intpoly.factor_monic([int(c) for c in minp])
         if len(factors) > 1:
             # g = factors[0] properly divides minp = g h, so g(M) != 0 and
             # h(M) != 0 by minimality, and g(M) h(M) = 0 makes g(M) singular

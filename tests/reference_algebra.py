@@ -7,8 +7,9 @@ elimination kernel in ``smaralg.ratmat`` replaced, the dense matrix
 products that ratmat's zero-skipping ones replaced, the subfield matrix
 products read one ``at()`` entry at a time that linalg's row-by-column
 kernel replaced, the minimal
-polynomial solved one degree at a time, the intertwiner space solved
-from its defining linear constraints, the invariant decomposition with
+polynomial solved one degree at a time, the monic integer factorization
+by Kronecker's divisor interpolation that intpoly's Zassenhaus replaced,
+the intertwiner space solved from its defining linear constraints, the invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
 every factor of the minimal polynomial tried, the subgroup list that
 certifies every subset of a semigroup table, the lattice check that
@@ -25,7 +26,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from smaralg import intpoly, ratmat, semigroup
+from smaralg import ratmat, semigroup
+from smaralg.intpoly import _divisors_signed, divmod_monic, poly_eval
 from smaralg.linalg import SubfieldMatrix, SubfieldVector
 from smaralg.ringcore import SubfieldRejection, certify_subfield
 from smaralg.semivector import _EXACT_SET_WORK, LatticeCheck
@@ -224,6 +226,111 @@ def min_poly_by_degree(m):
             raise AssertionError("minimal polynomial search failed to terminate")
 
 
+def _interpolate(points):
+    """Lagrange interpolation; returns ascending Fraction coefficients."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            basis = [Fraction(0)] + basis
+            for t in range(len(basis) - 1):
+                basis[t] -= xj * basis[t + 1]
+            denom *= xi - xj
+        for t in range(len(basis)):
+            coeffs[t] += yi * basis[t] / denom
+    return coeffs
+
+
+_KRONECKER_CAP = 250_000
+_VALUE_CAP = 10**12  # divisor enumeration is O(sqrt(value))
+
+
+def factor_monic_by_kronecker(f) -> list[list[int]]:
+    """intpoly.factor_monic by Kronecker's method: the integer roots
+    peeled, then for r = 2 .. deg/2 every choice of divisors of f's values
+    at r + 1 points interpolated and tried as a factor of degree r.
+
+    Exponential in the degree, so it raises ValueError past a cap on the
+    number of divisor combinations or on the size of the values.
+    """
+    f = list(f)
+    assert f[-1] == 1, "input must be monic"
+    factors: list[list[int]] = []
+
+    # peel integer roots (monic => all rational roots are integers)
+    changed = True
+    while changed and len(f) > 2:
+        changed = False
+        if f[0] == 0:
+            quot, rem = divmod_monic(f, [0, 1])
+            assert rem == [0]
+            factors.append([0, 1])
+            f = quot
+            changed = True
+            continue
+        for r in _divisors_signed(f[0]):
+            if poly_eval(f, r) == 0:
+                quot, rem = divmod_monic(f, [-r, 1])
+                assert rem == [0]
+                factors.append([-r, 1])
+                f = quot
+                changed = True
+                break
+
+    degree = len(f) - 1
+    if degree == 1:
+        factors.append(f)
+        return sorted(factors, key=lambda g: (len(g), g))
+    if degree <= 1:
+        return sorted(factors, key=lambda g: (len(g), g))
+
+    # Kronecker sweep for factors of degree 2 .. degree//2
+    r = 2
+    while r <= (len(f) - 1) // 2:
+        points = []
+        x = 0
+        while len(points) < r + 1:
+            points.append(x)
+            x = -x if x > 0 else -x + 1
+        values = [poly_eval(f, p) for p in points]
+        assert all(v != 0 for v in values), "roots should have been peeled"
+        if any(abs(v) > _VALUE_CAP for v in values):
+            raise ValueError(f"Kronecker values too large for {f}")
+        combos = 1
+        for v in values:
+            combos *= len(_divisors_signed(v))
+        if combos > _KRONECKER_CAP:
+            raise ValueError(
+                f"Kronecker sweep too large ({combos} combinations) for {f}"
+            )
+        found = None
+        for choice in itertools.product(*(_divisors_signed(v) for v in values)):
+            cand = _interpolate(list(zip(points, choice)))
+            if any(c.denominator != 1 for c in cand):
+                continue
+            cand_int = [int(c) for c in cand]
+            while len(cand_int) > 1 and cand_int[-1] == 0:
+                cand_int.pop()
+            if len(cand_int) - 1 != r or cand_int[-1] != 1:
+                continue
+            quot, rem = divmod_monic(f, cand_int)
+            if rem == [0]:
+                found = cand_int
+                break
+        if found is not None:
+            factors.append(found)  # minimal degree => irreducible
+            f, _ = divmod_monic(f, found)
+            continue  # retry the same r on the quotient
+        r += 1
+
+    if len(f) > 1:
+        factors.append(f)
+    return sorted(factors, key=lambda g: (len(g), g))
+
+
 def restrict(rep, basis):
     """Matrices of the action in the coordinates of an invariant subspace."""
     elements = rep.subgroup.elements
@@ -266,7 +373,7 @@ def _decompose_in(rep, basis):
         if any(c.denominator != 1 for c in minp) or len(minp) <= 2:
             continue
         try:
-            factors = intpoly.factor_monic([int(c) for c in minp])
+            factors = factor_monic_by_kronecker([int(c) for c in minp])
         except ValueError:
             continue
         for g in factors:

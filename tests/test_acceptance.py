@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from smaralg import linalg, ratmat
 from smaralg.cli import main as cli_main
 from smaralg.econ import NON_PRODUCTIVE_LABEL, closed_solve, open_solve
@@ -504,3 +506,33 @@ def test_criterion_17_nonneg_residual_sets():
         assert all(r == runs[0] for r in runs)
         assert runs[0] == oracle(target, gens)
     assert results[2][0].coefficients == (0, 0, 2, 8, 0)
+
+
+def test_criterion_18_zassenhaus():
+    from smaralg import intpoly, semigroup
+    from smaralg.semigroup import validate_table
+
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def sympy_factors(f):
+        _, pairs = sympy.factor_list(sympy.Poly(list(reversed(f)), x))
+        out = [[int(c) for c in reversed(p.all_coeffs())] for p, m in pairs for _ in range(m)]
+        return sorted(out, key=lambda g: (len(g), g))
+
+    found_input = [48, 56, 75, 21, 6, -14, -1, 1]  # seconds in the Kronecker sweep
+    with Timer(0.05, "criterion 18: a degree-7 product that Kronecker took seconds on"):
+        factors = intpoly.factor_monic(found_input)
+    assert factors == sympy_factors(found_input)
+    for n in (32, 48):
+        f = [-1] + [0] * (n - 1) + [1]
+        with Timer(0.5, f"criterion 18: x^{n} - 1 factored"):
+            factors = intpoly.factor_monic(f)
+        assert factors == sympy_factors(f)
+
+    c16 = validate_table([[(i + j) % 16 for j in range(16)] for i in range(16)])
+    rep = regular_representation(find_subgroups(c16)[0], Side.LEFT)
+    with Timer(1.0, "criterion 18: C_16 regular representation decomposed"):
+        blocks = semigroup._decompose(rep)
+    assert sorted(b.dimension for b in blocks) == [1, 1, 2, 4, 8]
+    assert {b.certificate for b in blocks} <= {"commutant_field", "commutant_scalars"}

@@ -1,14 +1,17 @@
-"""intpoly.factor_monic against sympy's factorization over Z, on
-products of 1-4 random monic factors of degree <= 3 with coefficients
-in [-4, 4] (total degree <= 8)."""
+"""intpoly.factor_monic against sympy's factorization over Z and against
+the Kronecker oracle, and gfmat.factor_mod against sympy's factorization
+over Z_q, on products of random monic factors drawn with multiplicity."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smaralg import intpoly
+from smaralg import gfmat, intpoly
+
+from reference_algebra import factor_monic_by_kronecker
 
 sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
 
 
 def poly_mul(a, b):
@@ -19,35 +22,69 @@ def poly_mul(a, b):
     return out
 
 
+def by_degree(polys):
+    return sorted(polys, key=lambda g: (len(g), g))
+
+
 @st.composite
-def monic_products(draw):
-    """Ascending coefficients of a product of random monic factors."""
+def monic_products(draw, max_degree, bound, max_factor_degree):
+    """Ascending coefficients of a product of 1-5 random monic factors with
+    coefficients in [-bound, bound], each repeated 1-3 times."""
     f = [1]
-    for _ in range(draw(st.integers(1, 4))):
-        room = 9 - len(f)
+    for _ in range(draw(st.integers(1, 5))):
+        room = max_degree - (len(f) - 1)
         if room == 0:
             break
-        degree = draw(st.integers(1, min(3, room)))
-        f = poly_mul(f, draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree)) + [1])
+        degree = draw(st.integers(1, min(max_factor_degree, room)))
+        g = draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree)) + [1]
+        for _ in range(draw(st.integers(1, min(3, room // degree)))):
+            f = poly_mul(f, g)
     return f
 
 
-# a few products take seconds in the Kronecker sweep, so the count stays low
-@settings(max_examples=100, deadline=None)
-@given(monic_products())
+def sympy_factors(f, **options):
+    """sympy's factors of f, each listed once per multiplicity."""
+    _, pairs = sympy.factor_list(sympy.Poly(list(reversed(f)), X, **options))
+    return [[int(c) for c in reversed(p.all_coeffs())] for p, mult in pairs for _ in range(mult)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_products(12, 9, 4))
+@example([48, 56, 75, 21, 6, -14, -1, 1])
 def test_factor_monic_matches_sympy(f):
-    x = sympy.Symbol("x")
     got = intpoly.factor_monic(f)
     product = [1]
     for g in got:
         assert g[-1] == 1
-        assert sympy.Poly(list(reversed(g)), x).is_irreducible
+        assert sympy.Poly(list(reversed(g)), X).is_irreducible
         product = poly_mul(product, g)
     assert product == f
-    assert got == sorted(got, key=lambda g: (len(g), g))
-    content, pairs = sympy.factor_list(sympy.Poly(list(reversed(f)), x))
-    assert content == 1
-    want = [
-        [int(c) for c in reversed(p.all_coeffs())] for p, mult in pairs for _ in range(mult)
-    ]
-    assert got == sorted(want, key=lambda g: (len(g), g))
+    assert got == by_degree(got)
+    assert got == by_degree(sympy_factors(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_products(8, 4, 3))
+def test_factor_monic_matches_kronecker(f):
+    try:
+        want = factor_monic_by_kronecker(f)
+    except ValueError:  # past the oracle's caps
+        assume(False)
+    assert intpoly.factor_monic(f) == want
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), monic_products(10, 12, 4))
+@example(2, [1, 0, 0, 0, 1])  # (x + 1)^4: f' = 0, all a square of a square
+@example(3, [0, 0, 0, 1, 0, 0, 2, 0, 0, 1])  # x^3 (x^3 + 1)^2 = x^3 (x + 1)^6
+def test_factor_mod_matches_sympy(q, f):
+    got = gfmat.factor_mod(f, q)
+    assert got == by_degree(got)
+    product = [1]
+    for g in got:
+        assert g[-1] == 1 and all(0 <= c < q for c in g)
+        product = gfmat.poly_mul_mod(product, g, q)
+    assert product == gfmat.poly_mul_mod(f, [1], q)
+    want = sympy_factors(f, modulus=q)
+    assert got == by_degree([[c % q for c in g] for g in want])

@@ -194,11 +194,14 @@ def test_empty_and_zero_matrices():
 
 @pytest.fixture
 def eliminations(monkeypatch):
+    """The row counts of the eliminations over Q; those over Z_q belong to
+    polynomial factorization (Berlekamp's kernel in gfmat.factor_mod)."""
     calls = []
     real = ratmat.rref
 
     def counting(m, field=ratmat.Q):
-        calls.append(len(m))
+        if field is ratmat.Q:
+            calls.append(len(m))
         return real(m, field)
 
     monkeypatch.setattr(ratmat, "rref", counting)

@@ -425,6 +425,15 @@ class TestDecomposition:
         plane = next(b for b in blocks if b.dimension == 2)
         assert plane.irreducible and plane.certificate == "commutant_field"
 
+    def test_factorization_error_propagates(self, z3_table, monkeypatch):
+        def fail(f):
+            raise ValueError(f"no factorization of {f}")
+
+        monkeypatch.setattr(semigroup.intpoly, "factor_monic", fail)
+        sub = find_subgroups(z3_table)[0]
+        with pytest.raises(ValueError, match="no factorization"):
+            semigroup._decompose(regular_representation(sub, Side.LEFT))
+
     def test_z4_splits_1_1_2(self, z4_table):
         sub = find_subgroups(z4_table)[0]
         blocks = decompose_invariants(regular_representation(sub, Side.LEFT))
