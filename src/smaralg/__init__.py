@@ -11,11 +11,56 @@ Importing the package loads no layer module.  Each name below, and each
 layer module, is imported from its home module on first use (PEP 562),
 so ``import smaralg.cli`` pays only for the CLI itself and a subcommand
 only for the layers it uses.
+
+``json_form`` is the one rule by which results become JSON; a ``Record``
+is a result dataclass whose JSON form is its public fields.
 """
 
 import importlib
+from enum import Enum
 
 __version__ = "0.1.0"
+
+_PLAIN = (type(None), bool, int, str)
+
+
+def json_form(x):
+    """The JSON form of a result: None, bool, int and str unchanged; a list
+    or tuple as a list; a Fraction as an int or "p/q"; a dict with str
+    keys; an enum by value; an object with ``to_json`` by that method; a
+    dataclass by its fields whose names do not start with ``_``.  Anything
+    else raises TypeError."""
+    if type(x) in _PLAIN:
+        return x
+    if isinstance(x, (list, tuple)):
+        return [json_form(v) for v in x]
+    if isinstance(x, dict):
+        # str keys before json.dumps sorts them, which would sort ints as numbers
+        return {str(k): json_form(v) for k, v in x.items()}
+    if isinstance(x, Enum):
+        return x.value
+    if hasattr(x, "denominator"):  # a Fraction (ints returned above); keeps fractions unimported
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if hasattr(x, "__dataclass_fields__"):
+        return _public_fields(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+def _public_fields(x) -> dict:
+    return {
+        name: json_form(getattr(x, name))
+        for name in x.__dataclass_fields__
+        if not name.startswith("_")
+    }
+
+
+class Record:
+    """Base of the result dataclasses whose JSON form is their public fields."""
+
+    to_json = _public_fields
+
 
 _LAYERS = (
     "econ", "gfmat", "golden", "intpoly", "linalg",

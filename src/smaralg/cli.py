@@ -21,6 +21,8 @@ import re
 import sys
 from pathlib import Path
 
+from . import json_form
+
 CITATIONS = {
     "subfields": ["Def 2.4.1", "Thm 2.9.9"],
     "certify": ["Def 2.4.1"],
@@ -222,7 +224,7 @@ def cmd_semigroup(args):
 
 
 def cmd_rep(args):
-    from . import ratmat, semigroup
+    from . import semigroup
     from .semigroup import Side
     table = _semigroup_table_from_args(args)
     if args.identity not in table.idempotents():
@@ -237,9 +239,7 @@ def cmd_rep(args):
         )
         left, right = (rep, other) if side is Side.LEFT else (other, rep)
         payload["left_right_isomorphic"] = semigroup.rep_isomorphic(rep, other).to_json()
-        payload["inversion_intertwiner"] = ratmat.matrix_to_json(
-            semigroup.left_right_intertwiner(left, right)
-        )
+        payload["inversion_intertwiner"] = json_form(semigroup.left_right_intertwiner(left, right))
     if args.decompose:
         blocks = semigroup.decompose_invariants(rep)
         payload["invariant_blocks"] = [
@@ -247,7 +247,7 @@ def cmd_rep(args):
                 "dimension": b.dimension,
                 "irreducible": b.irreducible,
                 "certificate": b.certificate,
-                "basis": [[ratmat.frac_to_json(x) for x in v] for v in b.basis],
+                "basis": json_form(b.basis),
             }
             for b in blocks
         ]

@@ -16,7 +16,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratmat
+from . import Record, json_form, ratmat
 from .ratmat import Matrix, Vector
 
 
@@ -27,12 +27,9 @@ class TransitionKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransitionClassification:
+class TransitionClassification(Record):
     kind: TransitionKind
     violations: tuple[str, ...]
-
-    def to_json(self):
-        return {"kind": self.kind.value, "violations": list(self.violations)}
 
 
 def classify_transition(p: Matrix) -> TransitionClassification:
@@ -77,24 +74,17 @@ class StepDiagnostic:
 
     def to_json(self):
         return {
-            "sum": ratmat.frac_to_json(self.total),
+            "sum": json_form(self.total),
             "negative_entries": list(self.negative_entries),
             "inside_unit_interval": self.inside_unit_interval,
         }
 
 
 @dataclass(frozen=True)
-class MarkovTrajectory:
+class MarkovTrajectory(Record):
     classification: TransitionClassification
     states: tuple[Vector, ...]  # x^(1) .. x^(steps)
     diagnostics: tuple[StepDiagnostic, ...]
-
-    def to_json(self):
-        return {
-            "classification": self.classification.to_json(),
-            "states": [[ratmat.frac_to_json(x) for x in s] for s in self.states],
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-        }
 
 
 def markov_step(p: Matrix, x0, steps: int) -> MarkovTrajectory:
@@ -136,7 +126,7 @@ NON_PRODUCTIVE_LABEL = "non-productive or not up to satisfaction"
 
 
 @dataclass(frozen=True)
-class LeontiefSolution:
+class LeontiefSolution(Record):
     model: str                       # "closed" | "open"
     path: str                        # "classical" | "smarandache"
     basis: tuple[Vector, ...] = ()   # closed: nullspace of I - A
@@ -153,29 +143,6 @@ class LeontiefSolution:
     label: str | None = None
     warnings: tuple[str, ...] = ()
     singular_nullspace: tuple[Vector, ...] = ()
-
-    def to_json(self):
-        def v2j(v):
-            return [ratmat.frac_to_json(x) for x in v] if v is not None else None
-
-        return {
-            "model": self.model,
-            "path": self.path,
-            "basis": [v2j(b) for b in self.basis],
-            "representative": v2j(self.representative),
-            "nonnegative_exists": self.nonnegative_exists,
-            "unique": self.unique,
-            "positive_power": self.positive_power,
-            "no_equilibrium": self.no_equilibrium,
-            "best": v2j(self.best),
-            "solution": v2j(self.solution),
-            "productive": self.productive,
-            "row_sums_below_one": self.row_sums_below_one,
-            "col_sums_below_one": self.col_sums_below_one,
-            "label": self.label,
-            "warnings": list(self.warnings),
-            "singular_nullspace": [v2j(b) for b in self.singular_nullspace],
-        }
 
 
 def _first_positive_power(a: Matrix, limit: int) -> int | None:

@@ -63,26 +63,14 @@ def poly_eval_mod(coeffs, x: int, q: int) -> int:
     return acc
 
 
-def _synth_div(coeffs, r: int, q: int):
-    """Divide by (t - r); returns (quotient coeffs, remainder)."""
-    d = len(coeffs) - 1
-    b = [0] * d
-    b[d - 1] = coeffs[d] % q
-    for i in range(d - 1, 0, -1):
-        b[i - 1] = (coeffs[i] + r * b[i]) % q
-    rem = (coeffs[0] + r * b[0]) % q
-    return b, rem
-
-
 def root_multiplicity(coeffs, r: int, q: int) -> int:
-    """Multiplicity of the root r: repeated synthetic division by (t - r)."""
+    """Multiplicity of the root r: repeated division by (t - r)."""
     mult = 0
-    current = list(coeffs)
+    current = coeffs
     while len(current) > 1:
-        quotient, rem = _synth_div(current, r, q)
-        if rem != 0:
+        current, rem = poly_divmod_mod(current, [-r, 1], q)
+        if rem:
             break
-        current = quotient
         mult += 1
     return mult
 

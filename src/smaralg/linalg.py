@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from . import gfmat, ratmat
+from . import Record, gfmat, ratmat
 from .polylab import ModPolynomial
 from .ringcore import Subfield
 
@@ -182,18 +182,12 @@ def rref_and_nullspace(a: SubfieldMatrix):
 
 
 @dataclass(frozen=True)
-class CharPolyResult:
+class CharPolyResult(Record):
     """prime_coeffs: monic characteristic polynomial over Z_q (ascending).
     zn_rendition: det(lam * I_e - A) mod n tabulated for lam = 0..n-1."""
 
     prime_coeffs: tuple[int, ...]
     zn_rendition: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "prime_coeffs": list(self.prime_coeffs),
-            "zn_rendition": list(self.zn_rendition),
-        }
 
 
 def char_poly(a: SubfieldMatrix) -> CharPolyResult:
@@ -233,7 +227,7 @@ class AlienValue:
 
 
 @dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     matrix: SubfieldMatrix
     char: CharPolyResult
     s_values: tuple[SEigenvalue, ...]
@@ -242,25 +236,6 @@ class EigenSystem:
 
     def s_value_set(self) -> set[int]:
         return {ev.value for ev in self.s_values}
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": self.matrix.to_json(),
-            "char": self.char.to_json(),
-            "s_values": [
-                {
-                    "value": ev.value,
-                    "algebraic_multiplicity": ev.algebraic_multiplicity,
-                    "basis": [v.to_json() for v in ev.basis],
-                }
-                for ev in self.s_values
-            ],
-            "alien_values": [
-                {"value": av.value, "witness": av.witness.to_json()}
-                for av in self.alien_values
-            ],
-            "diagonalizable": self.diagonalizable,
-        }
 
 
 def eigen_system(a: SubfieldMatrix) -> EigenSystem:
@@ -275,7 +250,7 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     field = ratmat.prime_field(q)
     s_values = []
     for r in range(q - 1, -1, -1):
-        if gfmat.poly_eval_mod(cp.prime_coeffs, r, q) != 0:
+        if cp.zn_rendition[r] != 0:  # from_prime(p(r)), zero exactly at the roots
             continue
         alg = gfmat.root_multiplicity(cp.prime_coeffs, r, q)
         shifted = [
@@ -353,21 +328,13 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
-class SpectralDiagnostic:
+class SpectralDiagnostic(Record):
     """Why the spectral decomposition does not exist over k."""
 
     reason: str  # defective_eigenvalue | char_poly_does_not_split_over_k
     defective_value: int | None = None
     geometric_multiplicity: int | None = None
     algebraic_multiplicity: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "reason": self.reason,
-            "defective_value": self.defective_value,
-            "geometric_multiplicity": self.geometric_multiplicity,
-            "algebraic_multiplicity": self.algebraic_multiplicity,
-        }
 
 
 def spectral_decompose(a: SubfieldMatrix):
@@ -468,13 +435,10 @@ def char_poly_substitute(a: SubfieldMatrix) -> SubfieldMatrix:
 
 
 @dataclass(frozen=True)
-class BilinearFormReport:
+class BilinearFormReport(Record):
     rank: int
     symmetric: bool
     skew: bool
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "symmetric": self.symmetric, "skew": self.skew}
 
 
 def bilinear_form_analyze(g: SubfieldMatrix):

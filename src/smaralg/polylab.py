@@ -12,11 +12,12 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from . import Record
 from .ringcore import Subfield, _check_modulus, _is_prime
 
 
 @dataclass(frozen=True)
-class ModPolynomial:
+class ModPolynomial(Record):
     """Coefficients over Z_n, ascending degree, trailing zeros trimmed.
 
     The zero polynomial has an empty coefficient tuple and no degree.
@@ -49,9 +50,6 @@ class ModPolynomial:
 
     def padded(self, length: int) -> tuple[int, ...]:
         return self.coeffs + (0,) * (length - len(self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "coeffs": list(self.coeffs)}
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -142,7 +140,7 @@ class Verdict(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(Record):
     """The four classical root criteria over Z_p plus exhaustive search.
 
     ``rootless_may_factor`` is set when the polynomial has degree >= 4:
@@ -157,18 +155,6 @@ class ReducibilityReport:
     criterion_xp_plus_1: bool
     verdict: Verdict
     rootless_may_factor: bool
-
-    def to_json(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json(),
-            "roots": list(self.roots),
-            "criterion_root": self.criterion_root,
-            "criterion_coeff_sum": self.criterion_coeff_sum,
-            "criterion_equal_odd": self.criterion_equal_odd,
-            "criterion_xp_plus_1": self.criterion_xp_plus_1,
-            "verdict": self.verdict.value,
-            "rootless_may_factor": self.rootless_may_factor,
-        }
 
 
 def reducibility_report(p: ModPolynomial) -> ReducibilityReport:
@@ -307,19 +293,12 @@ class RootTruth(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class RootClassification:
+class RootClassification(Record):
     """Three-valued verdict for p(x) = 0 relative to a subfield k of Z_n."""
 
     truth: RootTruth
     in_field_roots: tuple[int, ...]
     alien_roots: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "truth": self.truth.value,
-            "in_field_roots": list(self.in_field_roots),
-            "alien_roots": list(self.alien_roots),
-        }
 
 
 def neutrosophic_classify(p: ModPolynomial, k: Subfield) -> RootClassification:

@@ -212,11 +212,6 @@ def min_poly(m: Matrix) -> list[Fraction]:
     return [-reduced[i][k] for i in range(k)] + [Fraction(1)]
 
 
-def frac_to_json(x: Fraction):
-    """Integers stay integers; everything else becomes a "p/q" string."""
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def frac_from_json(x) -> Fraction:
     if isinstance(x, bool):
         raise ValueError("booleans are not rationals")
@@ -228,10 +223,6 @@ def frac_from_json(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError("floats are not accepted; use 'p/q' strings")
     raise ValueError(f"cannot read a rational from {x!r}")
-
-
-def matrix_to_json(m: Matrix) -> list[list]:
-    return [[frac_to_json(x) for x in row] for row in m]
 
 
 def matrix_from_json(rows) -> Matrix:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import Record
+
 
 class SubfieldRejection(ValueError):
     """A candidate subset fails one of the field axioms.
@@ -34,7 +36,7 @@ def _check_modulus(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class Subfield:
+class Subfield(Record):
     """A field of prime order q living inside Z_n with identity e.
 
     ``elements`` is the sorted tuple of residues, ``identity`` the
@@ -78,14 +80,6 @@ class Subfield:
 
     def contains(self, a: int) -> bool:
         return a in self._to_prime
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "elements": list(self.elements),
-            "identity": self.identity,
-            "prime_order": self.prime_order,
-        }
 
 
 def _is_prime(q: int) -> bool:

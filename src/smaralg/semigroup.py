@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import intpoly, ratmat
+from . import Record, intpoly, json_form, ratmat
 from .ratmat import Matrix, Vector
 
 
@@ -29,7 +29,7 @@ class TableError(ValueError):
 
 
 @dataclass(frozen=True)
-class SemigroupTable:
+class SemigroupTable(Record):
     """m x m multiplication table: table[x][y] = x*y, verified associative."""
 
     order: int
@@ -40,9 +40,6 @@ class SemigroupTable:
 
     def idempotents(self) -> list[int]:
         return [e for e in range(self.order) if self.mul(e, e) == e]
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table]}
 
 
 def validate_table(raw) -> SemigroupTable:
@@ -176,7 +173,7 @@ class Side(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Exact-rational matrix homomorphism on a subgroup.
 
     matrices[x] is the matrix of x on the chosen ordered basis; M(e) = I
@@ -190,15 +187,6 @@ class Representation:
 
     def matrix(self, x: int) -> Matrix:
         return self.matrices[x]
-
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup.to_json(),
-            "degree": self.degree,
-            "matrices": {
-                str(x): ratmat.matrix_to_json(m) for x, m in sorted(self.matrices.items())
-            },
-        }
 
 
 def make_representation(subgroup: SubgroupRecord, matrices: dict[int, Matrix]) -> Representation:
@@ -378,19 +366,10 @@ def _restrict(rep: Representation, basis: list[Vector]):
 
 
 @dataclass(frozen=True)
-class IsoReport:
+class IsoReport(Record):
     isomorphic: bool
     intertwiner: Matrix | None
     certificate: dict | None
-
-    def to_json(self) -> dict:
-        return {
-            "isomorphic": self.isomorphic,
-            "intertwiner": ratmat.matrix_to_json(self.intertwiner)
-            if self.intertwiner is not None
-            else None,
-            "certificate": self.certificate,
-        }
 
 
 def _intertwiner_space(m1: dict[int, Matrix], m2: dict[int, Matrix], group: SubgroupRecord):
@@ -464,7 +443,7 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
                 {
                     "reason": "character_mismatch",
                     "element": x,
-                    "traces": [ratmat.frac_to_json(t1), ratmat.frac_to_json(t2)],
+                    "traces": json_form([t1, t2]),
                 },
             )
 

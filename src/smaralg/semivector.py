@@ -39,9 +39,11 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
+from . import Record
+
 
 @dataclass(frozen=True)
-class NonNegIntegers:
+class NonNegIntegers(Record):
     """The strict semifield of nonnegative integers."""
 
     kind: str = "nonneg"
@@ -53,12 +55,9 @@ class NonNegIntegers:
     one = 1
     add, mul = staticmethod(operator.add), staticmethod(operator.mul)
 
-    def to_json(self):
-        return {"kind": "nonneg"}
-
 
 @dataclass(frozen=True)
-class ChainLattice:
+class ChainLattice(Record):
     """C_m: ranks 0 < 1 < ... < m-1 with join = max and meet = min."""
 
     size: int
@@ -83,9 +82,6 @@ class ChainLattice:
 
     def carrier(self) -> range:
         return range(self.size)
-
-    def to_json(self):
-        return {"kind": "chain", "size": self.size}
 
 
 @dataclass(frozen=True)
@@ -367,19 +363,10 @@ def span_membership(target: SemivectorTuple, generators, scalars=None) -> SpanRe
 
 
 @dataclass(frozen=True)
-class DependenceReport:
+class DependenceReport(Record):
     independent: bool
     witness_index: int | None
     witness_coefficients: tuple | None
-
-    def to_json(self):
-        return {
-            "independent": self.independent,
-            "witness_index": self.witness_index,
-            "witness_coefficients": list(self.witness_coefficients)
-            if self.witness_coefficients is not None
-            else None,
-        }
 
 
 def independence_check(vectors, scalars=None) -> DependenceReport:
@@ -410,12 +397,9 @@ def independence_check(vectors, scalars=None) -> DependenceReport:
 
 
 @dataclass(frozen=True)
-class SpansReport:
+class SpansReport(Record):
     spans: bool
     missing: tuple | None
-
-    def to_json(self):
-        return {"spans": self.spans, "missing": list(self.missing) if self.missing else None}
 
 
 def spans_space(generators, space, scalars=None) -> SpansReport:
@@ -464,17 +448,10 @@ def enumerate_representations(target: SemivectorTuple, basis, scalars=None) -> l
 
 
 @dataclass(frozen=True)
-class LatticeCheck:
+class LatticeCheck(Record):
     ok: bool
     axiom: str | None = None
     witness: tuple | None = None
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "axiom": self.axiom,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def lattice_semivector_check(join, meet) -> LatticeCheck:

@@ -13,7 +13,11 @@ fields, on self-adjoint diagonalizable, general and self-adjoint
 non-diagonalizable matrices.  SEMIVEC_SHA256 covers semivec span,
 enumerate, independent and spans calls (plain and --pretty) over the
 chains C4-C8 and the nonnegative integers, with and without --scalars.
-A change that alters any of these bytes must change the digest on
+DESK_SHA256 covers the one-answer commands whose records none of the
+others print (plain and --pretty): subfields, certify (accepted and
+rejected), poly over a prime and a composite modulus, classify-roots,
+classical and relaxed markov runs, and closed and open Leontief models
+on every path.  A change that alters any of these bytes must change the digest on
 purpose and say why.
 """
 
@@ -29,6 +33,7 @@ from smaralg.cli import main
 EXPECTED_SHA256 = "7984f135a7614ca181fef8d3e6192ec6a8bfd92f99af5be688ddf987c1c0143c"
 SPECTRAL_SHA256 = "7f7804e5ec83d9a9572294219a9d120bdbaac23cd60de1336290011b83988688"
 SEMIVEC_SHA256 = "426c6542c13a405512f451abc4ff43c92663b3700a5b3c7ab3bb35594458e2a4"
+DESK_SHA256 = "64e7158a48892fa64c4bae256b1b4a1ee5d436ef99e5df8a164e68beb24392f7"
 
 
 def _cayley(generators, op):
@@ -286,3 +291,38 @@ def test_semivec_bytes_are_pinned(capsys):
             out = capsys.readouterr().out
             digest.update(json.dumps([call, code, out]).encode() + b"\n")
     assert digest.hexdigest() == SEMIVEC_SHA256
+
+
+DESK_CALLS = [
+    ["subfields", "30"],
+    ["subfields", "4"],  # no proper subfield
+    ["certify", "6", "--elements", "0,3"],
+    ["certify", "6", "--elements", "0,2"],  # not multiplicatively closed
+    ["certify", "10", "--elements", "0,1,5"],  # not additively closed
+    ["poly", "x^2+1 mod 5"],
+    ["poly", "x^5+1 mod 5"],
+    ["poly", "x^3+x+1 mod 2"],  # rootless
+    ["poly", "x^2+3x+2", "--mod", "6"],
+    ["classify-roots", "x^2+3x+2", "--mod", "6", "--subfield", "0,2,4"],
+    ["classify-roots", "x^2+5", "--mod", "6", "--subfield", "0,3"],  # indeterminate
+    ["classify-roots", "x^2+2", "--mod", "10", "--subfield", "0,2,4,6,8"],  # false
+    ["markov", "--matrix", "1/2,3/10;1/2,7/10", "--state", "1,0", "--steps", "3"],
+    ["markov", "--matrix", "1/2,-1/4;1/2,1/2", "--state", "1,0", "--steps", "2"],
+    ["markov", "--matrix", "1/2,3/10;1/2,7/10", "--state", "1,0", "--steps", "0"],
+    ["leontief", "--model", "closed", "--matrix", "1/2,1/3;1/2,2/3"],  # nullity 1
+    ["leontief", "--model", "closed", "--matrix", "1,0;0,1"],  # nullity 2
+    ["leontief", "--model", "closed", "--matrix", "1/2,1/3;1/4,1/5"],  # no equilibrium
+    ["leontief", "--model", "open", "--matrix", "1/2,1/4;1/5,1/3", "--demand", "1,2"],
+    ["leontief", "--model", "open", "--matrix", "1/2,1;1,1/2", "--demand", "1,2"],
+    ["leontief", "--model", "open", "--matrix", "1,0;0,1", "--demand", "1,2"],  # singular
+]
+
+
+def test_desk_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in DESK_CALLS:
+        for call in (argv, argv + ["--pretty"]):
+            code = main(call)
+            out = capsys.readouterr().out
+            digest.update(json.dumps([call, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == DESK_SHA256

@@ -88,3 +88,20 @@ def test_factor_mod_matches_sympy(q, f):
     assert product == gfmat.poly_mul_mod(f, [1], q)
     want = sympy_factors(f, modulus=q)
     assert got == by_degree([[c % q for c in g] for g in want])
+
+
+@pytest.mark.parametrize("f", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]])  # irreducible, split mod p
+def test_lift_passes_the_landau_mignotte_bound(f, monkeypatch):
+    """A factor of f has coefficients of size at most 2^deg(f) ||f||_2, so
+    symmetric residues recover them only past twice that: m^2 > 4 4^deg ||f||^2."""
+    moduli = []
+    lift = intpoly._hensel_lift
+
+    def recorded(g, factors, p, modulus):
+        moduli.append(modulus)
+        return lift(g, factors, p, modulus)
+
+    monkeypatch.setattr(intpoly, "_hensel_lift", recorded)
+    assert intpoly.factor_monic(f) == [f]
+    assert moduli, "f must split mod p and be lifted"
+    assert moduli[0] ** 2 > 4 * 4 ** (len(f) - 1) * sum(c * c for c in f)

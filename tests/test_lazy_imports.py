@@ -64,6 +64,13 @@ class TestFreshInterpreter:
         out = fresh("-c", f"import sys, smaralg.cli; print({LOADED})")
         assert out.strip() == "['smaralg.cli']"
 
+    def test_importing_the_cli_loads_no_costly_stdlib_module(self):
+        # every process pays for these before its first job
+        costly = ["dataclasses", "decimal", "fractions", "inspect"]
+        loaded = f"[m for m in {costly} if m in sys.modules]"
+        out = fresh("-c", f"import sys, smaralg.cli; print({loaded})")
+        assert out.strip() == "[]"
+
     def test_poly_loads_only_its_layers(self):
         code = (
             "import contextlib, io, sys\n"
