@@ -365,11 +365,7 @@ def cmd_leontief(args):
 def cmd_golden(args):
     from . import golden
     results = golden.run_golden()
-    payload = [
-        {"anchor": r.anchor, "description": r.description, "passed": r.passed,
-         "detail": r.detail}
-        for r in results
-    ]
+    payload = [r.to_json() for r in results]
     pretty = "\n".join(
         f"[{'PASS' if r.passed else 'FAIL'}] {r.anchor}: {r.description}"
         + (f" ({r.detail})" if r.detail else "")

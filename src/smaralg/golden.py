@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import econ, linalg, polylab, ratmat, ringcore, semigroup, semivector
+from . import Record, econ, linalg, polylab, ratmat, ringcore, semigroup, semivector
 from .polylab import FermatFamily, ModPolynomial, RootTruth, Verdict
 from .semigroup import Side
 
 
 @dataclass(frozen=True)
-class GoldenResult:
+class GoldenResult(Record):
     anchor: str
     description: str
     passed: bool

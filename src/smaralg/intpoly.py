@@ -1,7 +1,8 @@
 """Factorization of monic integer polynomials over Z.
 
-Linear factors come from the rational root theorem; a root-free rest of
-degree 2 or 3 is irreducible.  Beyond that, Zassenhaus's algorithm
+Linear factors come from the rational root theorem while the constant
+term is small enough to list its divisors; a root-free rest of degree 2
+or 3 is then irreducible.  Beyond that, Zassenhaus's algorithm
 (Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.5.7;
 von zur Gathen & Gerhard, Modern Computer Algebra, Ch. 15): Yun's
 squarefree decomposition over Q, then each squarefree part factored mod
@@ -16,6 +17,11 @@ import math
 from fractions import Fraction
 
 from . import gfmat
+
+# integer roots are peeled by trial division of the constant term only
+# below this bound (at most 2^12 divisions); past it Zassenhaus finds
+# the linear factors too
+_PEEL_BOUND = 1 << 24
 
 
 def poly_eval(coeffs, x: int) -> int:
@@ -70,7 +76,7 @@ def factor_monic(f) -> list[list[int]]:
 
     # peel integer roots (monic => all rational roots are integers)
     changed = True
-    while changed and len(f) > 2:
+    while changed and len(f) > 2 and abs(f[0]) < _PEEL_BOUND:
         changed = False
         if f[0] == 0:
             quot, rem = divmod_monic(f, [0, 1])
@@ -88,12 +94,13 @@ def factor_monic(f) -> list[list[int]]:
                 changed = True
                 break
 
-    if len(f) > 4:
+    # a reducible monic polynomial of degree <= 3 has a linear factor, hence
+    # an integer root, and a peeled f has none left (or is linear)
+    root_free = abs(f[0]) < _PEEL_BOUND
+    if len(f) > (4 if root_free else 2):
         for part, mult in _squarefree_parts(f):
-            factors += _factor_squarefree(part) * mult
+            factors += _factor_squarefree(part, root_free) * mult
     elif len(f) > 1:
-        # a reducible monic polynomial of degree <= 3 has a linear factor,
-        # hence an integer root, and f has none left (or is linear)
         factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
 
@@ -149,9 +156,10 @@ def _gcd_over_q(a, b) -> list[int]:
     return [int(x) for x in gcd]
 
 
-def _factor_squarefree(f) -> list[list[int]]:
-    """Irreducible factors of a monic squarefree f without integer roots."""
-    if len(f) <= 4:
+def _factor_squarefree(f, root_free: bool) -> list[list[int]]:
+    """Irreducible factors of a monic squarefree f, which has no integer
+    roots when root_free."""
+    if len(f) <= (4 if root_free else 2):
         return [f]
     df = _derivative(f)
     p = next(p for p in _primes() if len(gfmat.poly_gcd_mod(f, df, p)) == 1)

@@ -117,14 +117,6 @@ def _same_space(a, b) -> None:
         raise ValueError("operands live over different subfields")
 
 
-def mat_add(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
-    _same_space(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch for addition")
-    n = a.n
-    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((x + y) % n for x, y in zip(a.entries, b.entries)))
-
-
 def mat_mul(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
     _same_space(a, b)
     if a.cols != b.rows:
@@ -137,19 +129,6 @@ def apply_matrix(a: SubfieldMatrix, v: SubfieldVector) -> SubfieldVector:
     if a.cols != len(v.entries):
         raise ValueError("shape mismatch for matrix-vector product")
     return SubfieldVector(a.k, _products(_rows(a), (v.entries,), a.n))
-
-
-def scalar_mul(c: int, a: SubfieldMatrix) -> SubfieldMatrix:
-    if not a.k.contains(c):
-        raise ValueError(f"scalar {c} is not in the subfield")
-    n = a.n
-    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((c * x) % n for x in a.entries))
-
-
-def mat_sub(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
-    _same_space(a, b)
-    n = a.n
-    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((x - y) % n for x, y in zip(a.entries, b.entries)))
 
 
 def to_prime_matrix(a: SubfieldMatrix) -> list[list[int]]:
@@ -417,21 +396,6 @@ def _spectral_from_eigen(es: EigenSystem):
         residual_ok=True,
         eigenspaces_pseudo_orthogonal=orthogonal,
     )
-
-
-def char_poly_substitute(a: SubfieldMatrix) -> SubfieldMatrix:
-    """p(A) with p the prime-field characteristic polynomial, evaluated
-    mod n with scalar action through from_prime; zero by Cayley-Hamilton."""
-    k = a.k
-    dim = a.rows
-    coeffs = char_poly(a).prime_coeffs
-    power = identity_matrix(k, dim)
-    acc = SubfieldMatrix(k, dim, dim, (0,) * (dim * dim))
-    for i, c in enumerate(coeffs):
-        if i > 0:
-            power = mat_mul(power, a)
-        acc = mat_add(acc, scalar_mul(k.from_prime(c), power))
-    return acc
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ prime and gcd(d, q) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import Record
 
@@ -39,24 +39,19 @@ def _check_modulus(n: int) -> None:
 class Subfield(Record):
     """A field of prime order q living inside Z_n with identity e.
 
-    ``elements`` is the sorted tuple of residues, ``identity`` the
-    multiplicative identity (an idempotent of Z_n, nonzero), and the
-    to_prime/from_prime maps realize the ring isomorphism with Z_q that
-    sends identity to 1 and extends additively (k·e mod n -> k mod q).
+    ``elements`` is the sorted tuple of residues and ``identity`` the
+    multiplicative identity (an idempotent of Z_n, nonzero).  Every
+    Subfield comes from find_subfields, certify_subfield or whole_prime,
+    so its elements are d·Z_n with d = n/q and gcd(d, q) = 1, and e is
+    1 mod q and 0 mod d.  The ring isomorphism with Z_q that sends e to 1
+    (k·e mod n -> k mod q) is therefore a -> a mod q, its inverse is
+    r -> r·e mod n, and a is a member exactly when 0 <= a < n and d | a.
     """
 
     n: int
     elements: tuple[int, ...]
     identity: int
     prime_order: int
-    _to_prime: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-    _from_prime: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._to_prime:
-            to_p = {(k * self.identity) % self.n: k for k in range(self.prime_order)}
-            object.__setattr__(self, "_to_prime", to_p)
-            object.__setattr__(self, "_from_prime", {v: k for k, v in to_p.items()})
 
     @classmethod
     def whole_prime(cls, p: int) -> "Subfield":
@@ -71,15 +66,18 @@ class Subfield(Record):
         return self.prime_order == self.n
 
     def to_prime(self, a: int) -> int:
-        """Map an element of the subfield to its residue in Z_q."""
-        return self._to_prime[a]
+        """Map an element of the subfield to its residue in Z_q; KeyError
+        for a non-member."""
+        if not self.contains(a):
+            raise KeyError(a)
+        return a % self.prime_order
 
     def from_prime(self, r: int) -> int:
         """Map a residue of Z_q back into the subfield."""
-        return self._from_prime[r % self.prime_order]
+        return r * self.identity % self.n
 
     def contains(self, a: int) -> bool:
-        return a in self._to_prime
+        return 0 <= a < self.n and a % (self.n // self.prime_order) == 0
 
 
 def _is_prime(q: int) -> bool:
@@ -175,12 +173,11 @@ def certify_subfield(n: int, elements) -> Subfield:
     q = len(elems)
     assert _is_prime(q), f"field axioms hold but order {q} is not prime"
     sf = Subfield(n=n, elements=tuple(elems), identity=identity, prime_order=q)
-    # The additive extension e -> 1 must respect products; re-check all pairs.
-    for a in elems:
-        for b in elems:
-            lhs = sf.to_prime((a * b) % n)
-            rhs = (sf.to_prime(a) * sf.to_prime(b)) % q
-            assert lhs == rhs, f"isomorphism failure at ({a},{b})"
+    # a -> a mod q is a ring map on Z_n since q | n, so it is an isomorphism
+    # onto Z_q exactly when it is a bijection on the elements sending the
+    # identity to 1 (the pairwise identities hold for every pair of ints)
+    assert sorted(map(sf.to_prime, elems)) == list(range(q)), "to_prime is not a bijection"
+    assert sf.to_prime(identity) == 1, "to_prime does not send the identity to 1"
     return sf
 
 

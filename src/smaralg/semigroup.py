@@ -67,13 +67,6 @@ def validate_table(raw) -> SemigroupTable:
     return SemigroupTable(order=m, table=tuple(tuple(r) for r in rows))
 
 
-def table_from_operation(elements, op) -> SemigroupTable:
-    """Build and validate a table from a concrete binary operation."""
-    index = {x: i for i, x in enumerate(elements)}
-    raw = [[index[op(x, y)] for y in elements] for x in elements]
-    return validate_table(raw)
-
-
 @dataclass(frozen=True)
 class SubgroupRecord:
     """A subset of the semigroup that is a group, anchored at its idempotent."""
@@ -246,11 +239,6 @@ def permutation_representation(subgroup: SubgroupRecord, action, points) -> Repr
         subgroup,
         {x: _permutation_matrix(functools.partial(action, x), pts) for x in subgroup.elements},
     )
-
-
-def trivial_representation(subgroup: SubgroupRecord) -> Representation:
-    one = ((Fraction(1),),)
-    return make_representation(subgroup, {x: one for x in subgroup.elements})
 
 
 def left_right_intertwiner(left: Representation, right: Representation) -> Matrix:

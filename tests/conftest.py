@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from smaralg.semigroup import table_from_operation, validate_table
+from reference_algebra import table_from_operation
+from smaralg.semigroup import validate_table
 
 
 @pytest.fixture(scope="session")

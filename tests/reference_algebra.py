@@ -2,7 +2,8 @@
 
 Brute-force or single-purpose versions of routines whose fast or
 field-generic forms live in ``smaralg``: the divisor-by-divisor subfield
-search, the separate Z_q and rational Gauss-Jordan loops that the one
+search, the subfield maps tabulated as dicts that the closed forms
+replaced, the separate Z_q and rational Gauss-Jordan loops that the one
 elimination kernel in ``smaralg.ratmat`` replaced, the dense matrix
 products that ratmat's zero-skipping ones replaced, the subfield matrix
 products read one ``at()`` entry at a time that linalg's row-by-column
@@ -18,6 +19,11 @@ vector at a time and the exact residual sets of the nonnegative-integer
 search built as tuples, and the best relaxed Leontief equilibrium
 found among the vertices of the unit 1-norm ball of the nullspace or on
 the {-2..2}^k grid of basis weightings.
+
+It also holds the helpers that only tests call: entrywise sums,
+differences and scalar multiples of subfield matrices, the
+Cayley-Hamilton residual p(A), semigroup tables built from a binary
+operation, and the trivial representation.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 
 from smaralg import ratmat, semigroup
 from smaralg.intpoly import _divisors_signed, divmod_monic, poly_eval
-from smaralg.linalg import SubfieldMatrix, SubfieldVector
+from smaralg.linalg import SubfieldMatrix, SubfieldVector, char_poly, identity_matrix, mat_mul
 from smaralg.ringcore import SubfieldRejection, certify_subfield
 from smaralg.semivector import _EXACT_SET_WORK, LatticeCheck
 
@@ -50,6 +56,14 @@ def subfield_oracle(n: int):
         except (SubfieldRejection, ValueError):
             continue
     return sorted(found, key=lambda s: s.prime_order)
+
+
+def subfield_maps_by_dicts(sf):
+    """The subfield's isomorphism with Z_q tabulated: the dict
+    k·e mod n -> k over k in Z_q, and its inverse.  Membership is being a
+    key of the first."""
+    to_prime = {(k * sf.identity) % sf.n: k for k in range(sf.prime_order)}
+    return to_prime, {v: k for k, v in to_prime.items()}
 
 
 def rref_mod(a, q: int):
@@ -185,6 +199,42 @@ def transpose_by_entries(a: SubfieldMatrix) -> SubfieldMatrix:
     return SubfieldMatrix.from_rows(
         a.k, [[a.at(i, j) for i in range(a.rows)] for j in range(a.cols)]
     )
+
+
+def mat_add(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
+    _same_subfield(a, b)
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch for addition")
+    n = a.n
+    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((x + y) % n for x, y in zip(a.entries, b.entries)))
+
+
+def scalar_mul(c: int, a: SubfieldMatrix) -> SubfieldMatrix:
+    if not a.k.contains(c):
+        raise ValueError(f"scalar {c} is not in the subfield")
+    n = a.n
+    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((c * x) % n for x in a.entries))
+
+
+def mat_sub(a: SubfieldMatrix, b: SubfieldMatrix) -> SubfieldMatrix:
+    _same_subfield(a, b)
+    n = a.n
+    return SubfieldMatrix(a.k, a.rows, a.cols, tuple((x - y) % n for x, y in zip(a.entries, b.entries)))
+
+
+def char_poly_substitute(a: SubfieldMatrix) -> SubfieldMatrix:
+    """p(A) with p the prime-field characteristic polynomial, evaluated
+    mod n with scalar action through from_prime; zero by Cayley-Hamilton."""
+    k = a.k
+    dim = a.rows
+    coeffs = char_poly(a).prime_coeffs
+    power = identity_matrix(k, dim)
+    acc = SubfieldMatrix(k, dim, dim, (0,) * (dim * dim))
+    for i, c in enumerate(coeffs):
+        if i > 0:
+            power = mat_mul(power, a)
+        acc = mat_add(acc, scalar_mul(k.from_prime(c), power))
+    return acc
 
 
 def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):
@@ -329,6 +379,18 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
     if len(f) > 1:
         factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
+
+
+def table_from_operation(elements, op):
+    """Build and validate a semigroup table from a concrete binary operation."""
+    index = {x: i for i, x in enumerate(elements)}
+    raw = [[index[op(x, y)] for y in elements] for x in elements]
+    return semigroup.validate_table(raw)
+
+
+def trivial_representation(subgroup):
+    one = ((Fraction(1),),)
+    return semigroup.make_representation(subgroup, {x: one for x in subgroup.elements})
 
 
 def restrict(rep, basis):

@@ -2,6 +2,8 @@
 the Kronecker oracle, and gfmat.factor_mod against sympy's factorization
 over Z_q, on products of random monic factors drawn with multiplicity."""
 
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,33 @@ def test_factor_monic_matches_sympy(f):
         product = poly_mul(product, g)
     assert product == f
     assert got == by_degree(got)
+    assert got == by_degree(sympy_factors(f))
+
+
+@st.composite
+def big_root_products(draw):
+    """Products of 1-3 linear factors x - r with |r| <= 2^40, each taken
+    once or twice, and 0-2 monic factors of degree 2-3 with coefficients
+    in [-3, 3]: constant terms far past the root peel's bound."""
+    f = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(-(2**40), 2**40))
+        for _ in range(draw(st.integers(1, 2))):
+            f = poly_mul(f, [-r, 1])
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(2, 3))
+        f = poly_mul(f, draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [1])
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_root_products())
+@example(poly_mul([1 - 2**31, 1], [1, 0, 1]))  # (x - (2^31 - 1))(x^2 + 1)
+@example(poly_mul([-(2**40), 1], [2**40, 1]))  # x^2 - 2^80, split by Zassenhaus alone
+def test_factor_monic_with_large_roots_matches_sympy(f):
+    start = time.perf_counter()
+    got = intpoly.factor_monic(f)
+    assert time.perf_counter() - start < 1.0, "trial division of a large constant term"
     assert got == by_degree(sympy_factors(f))
 
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import apply_matrix_by_entries, mat_mul_by_entries, transpose_by_entries
+from reference_algebra import (
+    apply_matrix_by_entries,
+    char_poly_substitute,
+    mat_add,
+    mat_mul_by_entries,
+    mat_sub,
+    scalar_mul,
+    transpose_by_entries,
+)
 from smaralg import cli, linalg, ratmat
 from smaralg.linalg import (
     SpectralDecomposition,
@@ -16,10 +24,8 @@ from smaralg.linalg import (
     apply_matrix,
     bilinear_form_analyze,
     char_poly,
-    char_poly_substitute,
     eigen_system,
     identity_matrix,
-    mat_add,
     mat_mul,
     pseudo_inner_product,
     rref_and_nullspace,
@@ -208,7 +214,7 @@ def test_golden_span_check_matches_coefficient_scan():
 class TestRref:
     def test_eigenspace_of_paper_matrix(self):
         a = z6_matrix()
-        shifted = linalg.mat_sub(a, linalg.scalar_mul(4, identity_matrix(K024, 3)))
+        shifted = mat_sub(a, scalar_mul(4, identity_matrix(K024, 3)))
         rank, _, basis = rref_and_nullspace(shifted)
         assert rank == 1 and len(basis) == 2
         entries = {v.entries for v in basis}
@@ -492,7 +498,7 @@ class TestSpectral:
                 total = identity_matrix(k, dim)
                 recon = SubfieldMatrix(k, dim, dim, (0,) * dim**2)
                 for c, e in result.terms:
-                    recon = linalg.mat_add(recon, linalg.scalar_mul(c, e))
+                    recon = mat_add(recon, scalar_mul(c, e))
                 assert recon.entries == a.entries
                 count += 1
 

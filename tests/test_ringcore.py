@@ -11,7 +11,7 @@ from smaralg.ringcore import (
     subfield_from_elements,
 )
 
-from reference_algebra import subfield_oracle
+from reference_algebra import subfield_maps_by_dicts, subfield_oracle
 
 
 def as_sets(fields):
@@ -187,15 +187,40 @@ def test_isomorphism_round_trip():
             for r in range(s.prime_order):
                 assert s.to_prime(s.from_prime(r)) == r
 
+
+# every subfield of Z_n for n <= 300 and the whole carrier Z_p for p < 100
+CARRIERS = [s for n in range(2, 301) for s in find_subfields(n)] + [
+    Subfield.whole_prime(p) for p in range(2, 100) if all(p % t for t in range(2, p))
+]
+
+
+def test_closed_form_maps_match_dict_oracle():
+    for s in CARRIERS:
+        to_p, from_p = subfield_maps_by_dicts(s)
+        n, q = s.n, s.prime_order
+        assert sorted(to_p) == list(s.elements)
+        assert [s.contains(a) for a in range(-2, n + 2)] == [a in to_p for a in range(-2, n + 2)]
+        assert [s.to_prime(a) for a in s.elements] == [to_p[a] for a in s.elements]
+        assert [s.from_prime(r) for r in range(-q, 2 * q)] == [
+            from_p[r % q] for r in range(-q, 2 * q)
+        ]
+
+
 def test_isomorphism_respects_operations():
-    for n in (6, 12, 15):
-        for s in find_subfields(n):
-            q = s.prime_order
-            for a in s.elements:
-                for b in s.elements:
-                    assert s.to_prime((a + b) % n) == (s.to_prime(a) + s.to_prime(b)) % q
-                    assert s.to_prime((a * b) % n) == (s.to_prime(a) * s.to_prime(b)) % q
-            assert s.to_prime(s.identity) == 1
+    for s in CARRIERS:
+        n, q = s.n, s.prime_order
+        for a in s.elements:
+            for b in s.elements:
+                assert s.to_prime((a + b) % n) == (s.to_prime(a) + s.to_prime(b)) % q
+                assert s.to_prime((a * b) % n) == (s.to_prime(a) * s.to_prime(b)) % q
+        assert s.to_prime(s.identity) == 1
+
+
+def test_non_members():
+    s = certify_subfield(6, {0, 2, 4})
+    with pytest.raises(KeyError):
+        s.to_prime(1)
+    assert not any(s.contains(a) for a in (-4, 6, 1))
 
 
 def test_whole_prime_carrier():

@@ -14,7 +14,6 @@ from smaralg.semigroup import (
     TableError,
     _intertwiner_space,
     _restrict,
-    table_from_operation,
     averaged_projection,
     decompose_invariants,
     find_subgroups,
@@ -25,7 +24,6 @@ from smaralg.semigroup import (
     projection_onto,
     regular_representation,
     rep_isomorphic,
-    trivial_representation,
     validate_table,
 )
 
@@ -33,6 +31,8 @@ from reference_algebra import (
     decompose_whole_space,
     intertwiner_space_by_constraints,
     subgroups_by_subset_scan,
+    table_from_operation,
+    trivial_representation,
 )
 from test_cli_bytes import GROUPS as CLI_GROUPS, _with_zero_one
 
@@ -588,6 +588,32 @@ GROUP_TABLES = {
     "Q8": _closure_table([(0, 1, 0, 0), (0, 0, 1, 0)], _quaternion_mul),
 }
 GROUPS = {name: find_subgroups(table)[0] for name, table in GROUP_TABLES.items()}
+
+
+def _dicyclic_table(m):
+    """Dic_m of order 4m: a^i b^j with a^(2m) = 1, b^2 = a^m, b a = a^-1 b."""
+    def mul(x, y):
+        (i, j), (k, l) = x, y
+        if j == 0:
+            return ((i + k) % (2 * m), l)
+        return ((i - k + m * l) % (2 * m), 1 - l)
+
+    return table_from_operation([(i, j) for j in (0, 1) for i in range(2 * m)], mul)
+
+
+@pytest.mark.parametrize(
+    "m, dims", [(4, [1, 1, 1, 1, 2, 2, 8]), (5, [1, 1, 2, 4, 4, 8])], ids=["Q16", "Dic5"]
+)
+def test_decompose_regular_dicyclic_in_time(m, dims):
+    # the candidates' minimal polynomials have constant terms past 2^57,
+    # whose divisors factor_monic must not list by trial division
+    group = find_subgroups(_dicyclic_table(m))[0]
+    assert group.order == 4 * m
+    rep = regular_representation(group, Side.LEFT)
+    start = time.perf_counter()
+    blocks = semigroup._decompose(rep)
+    assert time.perf_counter() - start < 2.0
+    assert sorted(b.dimension for b in blocks) == dims
 
 
 def _coset_representation(group, h):
