@@ -286,11 +286,11 @@ def cmd_semivec(args):
         raw = args.lattice
         data = _load_json(raw) if raw.endswith(".json") else json.loads(raw)
         if _checked(data, {}, "lattice").get("kind") == "chain":
-            join, meet = semivector.chain_tables(_checked(data, {"size": int}, "lattice")["size"])
+            size = _checked(data, {"size": int}, "lattice")["size"]
+            result = semivector.chain_lattice_check(size)
         else:
             tables = _checked(data, {"join": [[int]], "meet": [[int]]}, "lattice")
-            join, meet = tables["join"], tables["meet"]
-        result = semivector.lattice_semivector_check(join, meet)
+            result = semivector.lattice_semivector_check(tables["join"], tables["meet"])
         pretty = "semivector space over C_2" if result.ok else f"fails {result.axiom}"
         _print_report(args, result.to_json(), CITATIONS["semivec"], pretty)
         return 0

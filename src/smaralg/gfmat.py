@@ -1,12 +1,14 @@
-"""Matrix and polynomial routines over prime fields Z_q.
+"""Matrix routines over prime fields Z_q, and the one polynomial kernel.
 
-Matrices are lists of row lists of ints, polynomials ascending
-coefficient lists.  Elimination (rref, nullspace, inverse) is the
-field-generic kernel in ratmat, run over ratmat.prime_field(q).
-factor_mod factors a polynomial over Z_q by Berlekamp's algorithm, on
-the polynomial arithmetic below; the sum, difference, product and
-division by a monic polynomial also hold mod any q > 1, which is how
-intpoly lifts factors mod p^k.
+Elimination (rref, nullspace, inverse) is ratmat's field-generic kernel,
+run over ratmat.prime_field(q).  Polynomials are ascending coefficient
+lists, reduced and trimmed; the zero polynomial is [].  Sum, difference,
+product, division, monic gcd, extended gcd, derivative and squarefree
+decomposition are written once, over a ratmat.Field: Q, prime_field(q),
+or residue_ring(m), where division by a polynomial with a unit leading
+coefficient lets intpoly lift factors mod p^k.  factor_mod runs
+Berlekamp's algorithm on the kernel.  charpoly_mod, evaluation mod q and
+polylab's mod-n arithmetic (loaded without this module) stay specialized.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ def poly_eval_mod(coeffs, x: int, q: int) -> int:
 
 
 def root_multiplicity(coeffs, r: int, q: int) -> int:
-    """Multiplicity of the root r: repeated division by (t - r)."""
+    """Multiplicity of the root r of a reduced polynomial over Z_q:
+    repeated division by (t - r)."""
+    field = ratmat.prime_field(q)
     mult = 0
-    current = coeffs
-    while len(current) > 1:
-        current, rem = poly_divmod_mod(current, [-r, 1], q)
+    while len(coeffs) > 1:
+        coeffs, rem = poly_divmod(coeffs, [-r % q, 1], field)
         if rem:
             break
         mult += 1
@@ -76,75 +79,123 @@ def root_multiplicity(coeffs, r: int, q: int) -> int:
 
 
 def _trim(p):
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def poly_add_mod(a, b, q: int) -> list[int]:
-    """a + b over Z_q.  Polynomials mod q are reduced to residues 0..q-1
-    with trailing zeros trimmed; the zero polynomial is []."""
+def poly_add(a, b, field: ratmat.Field) -> list:
     if len(a) < len(b):
         a, b = b, a
-    return _trim([(x + y) % q for x, y in zip(a, b)] + [x % q for x in a[len(b):]])
+    return _trim(field.reduce([x + y for x, y in zip(a, b)] + list(a[len(b):])))
 
 
-def poly_sub_mod(a, b, q: int) -> list[int]:
-    return poly_add_mod(a, [-y for y in b], q)
+def poly_sub(a, b, field: ratmat.Field) -> list:
+    return poly_add(a, [-y for y in b], field)
 
 
-def poly_mul_mod(a, b, q: int) -> list[int]:
+def poly_mul(a, b, field: ratmat.Field) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return _trim([c % q for c in out])
+    return _trim(field.reduce(out))
 
 
-def poly_divmod_mod(a, b, q: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by b over Z_q.  b's leading coefficient
-    must be a unit mod q, so q need not be prime when b is monic."""
-    rem = _trim([x % q for x in a])
+def poly_mul_mod(a, b, q: int) -> list[int]:
+    """a b over Z_q."""
+    return poly_mul(a, b, ratmat.residue_ring(q))
+
+
+def _monic(a, field: ratmat.Field) -> list:
+    """a divided by its leading coefficient ([] for a = [])."""
+    if not a:
+        return []
+    inv = field.inverse(a[-1])
+    return field.reduce([x * inv for x in a])
+
+
+def poly_divmod(a, b, field: ratmat.Field) -> tuple[list, list]:
+    """(quotient, remainder) of reduced a by reduced b over field, b's
+    leading coefficient a unit.  Only the top coefficient is reduced at
+    each step, the remainder once at the end; over Q a monic b keeps
+    integer coefficients integers."""
+    lead = b[-1]
+    if lead != field.one:
+        b = _monic(b, field)
+    p = field.characteristic
+    rem = _trim(list(a))
     db = len(b) - 1
-    inv = pow(b[-1], -1, q)
-    quot = [0] * max(len(rem) - db, 0)
+    quot = []
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % q
+        c = rem[i] % p if p else rem[i]
+        quot.append(c)
         if c:
-            quot[i - db] = c
             for j, y in enumerate(b, i - db):
-                rem[j] = (rem[j] - c * y) % q
-    return _trim(quot), _trim(rem[:db])
+                rem[j] -= c * y
+    quot.reverse()
+    if lead != field.one:
+        inv = field.inverse(lead)
+        quot = field.reduce([x * inv for x in quot])
+    return quot, _trim(field.reduce(rem[:db]))
 
 
-def _monic_mod(a, q: int) -> list[int]:
-    inv = pow(a[-1], -1, q)
-    return [x * inv % q for x in a]
-
-
-def poly_gcd_mod(a, b, q: int) -> list[int]:
-    """Monic gcd over Z_q, q prime ([] when a and b are both zero)."""
-    a, b = _trim([x % q for x in a]), _trim([x % q for x in b])
+def poly_gcd(a, b, field: ratmat.Field) -> list:
+    """Monic gcd over field ([] when a and b are both zero)."""
+    a, b = _trim(field.reduce(list(a))), _trim(field.reduce(list(b)))
     while b:
-        a, b = b, poly_divmod_mod(a, b, q)[1]
-    return _monic_mod(a, q) if a else []
+        a, b = b, poly_divmod(a, b, field)[1]
+    return _monic(a, field)
 
 
-def poly_xgcd_mod(a, b, q: int) -> tuple[list[int], list[int], list[int]]:
-    """(g, s, t) over Z_q, q prime, with s a + t b = g the monic gcd; for
-    coprime a and b of positive degree, deg s < deg b and deg t < deg a."""
-    r0, r1 = _trim([x % q for x in a]), _trim([x % q for x in b])
-    s0, s1, t0, t1 = [1], [], [], [1]
+def poly_xgcd(a, b, field: ratmat.Field) -> tuple[list, list, list]:
+    """(g, s, t) over field with s a + t b = g the monic gcd of a and b, not
+    both zero; for a and b of positive degree, deg s < deg b and deg t <
+    deg a."""
+    r0, r1 = _trim(field.reduce(list(a))), _trim(field.reduce(list(b)))
+    s0, s1, t0, t1 = [field.one], [], [], [field.one]
     while r1:
-        quot, rem = poly_divmod_mod(r0, r1, q)
+        quot, rem = poly_divmod(r0, r1, field)
         r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub_mod(s0, poly_mul_mod(quot, s1, q), q)
-        t0, t1 = t1, poly_sub_mod(t0, poly_mul_mod(quot, t1, q), q)
-    inv = pow(r0[-1], -1, q)
-    return tuple([x * inv % q for x in p] for p in (r0, s0, t0))
+        s0, s1 = s1, poly_sub(s0, poly_mul(quot, s1, field), field)
+        t0, t1 = t1, poly_sub(t0, poly_mul(quot, t1, field), field)
+    inv = field.inverse(r0[-1])
+    return tuple(field.reduce([x * inv for x in p]) for p in (r0, s0, t0))
+
+
+def derivative(f, field: ratmat.Field) -> list:
+    return _trim(field.reduce([i * c for i, c in enumerate(f)][1:]))
+
+
+def squarefree(f, field: ratmat.Field) -> list[tuple[list, int]]:
+    """(part, multiplicity) pairs with f = prod part^multiplicity for a
+    monic f over Q or Z_q, each part monic, squarefree, nonconstant and
+    coprime to the others (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.4.2).  Step i peels the factors of multiplicity
+    exactly i off w, the product of those of multiplicity >= i that the
+    derivative sees.  In characteristic p that misses the factors whose
+    multiplicity p divides; c is left with them as a polynomial in x^p,
+    and their pairs follow the others."""
+    c = poly_gcd(f, derivative(f, field), field)
+    w = poly_divmod(f, c, field)[0]
+    out = []
+    mult = 1
+    while len(w) > 1:
+        y = poly_gcd(w, c, field)
+        z = poly_divmod(w, y, field)[0]
+        if len(z) > 1:
+            out.append((z, mult))
+        mult += 1
+        w = y
+        c = poly_divmod(c, y, field)[0]
+    if len(c) > 1:
+        # c(x) = r(x^p) = r(x)^p, since a^p = a in Z_p
+        p = field.characteristic
+        out += [(g, m * p) for g, m in squarefree(c[::p], field)]
+    return out
 
 
 def factor_mod(coeffs, q: int) -> list[list[int]]:
@@ -152,49 +203,27 @@ def factor_mod(coeffs, q: int) -> list[list[int]]:
     leading coefficient is nonzero mod q, with multiplicity, sorted by
     (degree, coefficients); the leading coefficient itself is dropped.
 
-    A squarefree decomposition first, then Berlekamp's algorithm on each
-    part (Cohen, A Course in Computational Algebraic Number Theory,
+    The squarefree decomposition first, then Berlekamp's algorithm on
+    each part (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 3.4.2 and 3.4.10; von zur Gathen & Gerhard, Modern Computer
     Algebra, Ch. 14).  Deterministic for every q: the splitting tries
     every residue, not random ones.
     """
     assert coeffs[-1] % q, "the leading coefficient must be a unit mod q"
+    field = ratmat.prime_field(q)
     out = []
-    for part, mult in _squarefree_mod(_monic_mod(coeffs, q), q):
-        out += _berlekamp(part, q) * mult
+    for part, mult in squarefree(_monic(field.reduce(list(coeffs)), field), field):
+        out += _berlekamp(part, field) * mult
     return sorted(out, key=lambda g: (len(g), g))
 
 
-def _squarefree_mod(f, q: int) -> list[tuple[list[int], int]]:
-    """(part, multiplicity) pairs with f = prod part^multiplicity, each part
-    monic, squarefree, nonconstant and coprime to the others; f monic."""
-    derivative = _trim([i * c % q for i, c in enumerate(f)][1:])
-    c = poly_gcd_mod(f, derivative, q)
-    w = poly_divmod_mod(f, c, q)[0]
-    out = []
-    mult = 1
-    # w is the product of the factors of multiplicity >= mult not divisible by q
-    while len(w) > 1:
-        y = poly_gcd_mod(w, c, q)
-        z = poly_divmod_mod(w, y, q)[0]
-        if len(z) > 1:
-            out.append((z, mult))
-        mult += 1
-        w = y
-        c = poly_divmod_mod(c, y, q)[0]
-    if len(c) > 1:
-        # c is left with the factors of multiplicity divisible by q, so
-        # c(x) = r(x^q) = r(x)^q, since a^q = a in Z_q
-        out += [(g, m * q) for g, m in _squarefree_mod(c[::q], q)]
-    return out
-
-
-def _berlekamp(f, q: int) -> list[list[int]]:
+def _berlekamp(f, field: ratmat.Field) -> list[list[int]]:
     """The irreducible factors of a monic squarefree f over Z_q.  The g
     with g^q = g mod f form the kernel of Q - I, where row i of Q is
     x^(iq) mod f; its dimension is the number of factors, and the gcds
     of f with g - s over the residues s separate every pair of factors
     for some basis vector g."""
+    q = field.characteristic
     n = len(f) - 1
     rows = []
     power = [1] + [0] * (n - 1)  # x^k mod f for k = 0, 1, ..., (n-1)q
@@ -204,7 +233,7 @@ def _berlekamp(f, q: int) -> list[list[int]]:
         lead = power[-1]
         power = [-lead * f[0] % q] + [(x - lead * y) % q for x, y in zip(power, f[1:-1])]
     transposed = [[row[j] - (i == j) for i, row in enumerate(rows)] for j in range(n)]
-    kernel = ratmat.nullspace(transposed, ratmat.prime_field(q))
+    kernel = ratmat.nullspace(transposed, field)
     factors = [f]
     for g in kernel:
         if len(factors) == len(kernel):
@@ -213,7 +242,7 @@ def _berlekamp(f, q: int) -> list[list[int]]:
             part
             for h in factors
             for part in (
-                poly_gcd_mod(h, poly_sub_mod(g, [s], q), q) for s in range(q)
+                poly_gcd(h, poly_sub(g, [s], field), field) for s in range(q)
             )
             if len(part) > 1
         ]

@@ -1,22 +1,26 @@
 """Factorization of monic integer polynomials over Z.
 
-Linear factors come from the rational root theorem while the constant
-term is small enough to list its divisors; a root-free rest of degree 2
-or 3 is then irreducible.  Beyond that, Zassenhaus's algorithm
-(Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.5.7;
-von zur Gathen & Gerhard, Modern Computer Algebra, Ch. 15): Yun's
-squarefree decomposition over Q, then each squarefree part factored mod
-the smallest prime that keeps it squarefree (gfmat.factor_mod), Hensel
+Integer roots come from the rational root theorem while the constant
+term is small enough to list its divisors: a Horner test of each, then
+exact division.  A root-free rest of degree 2 or 3 is irreducible.
+Beyond that, Zassenhaus's algorithm (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 3.5.7; von zur Gathen & Gerhard, Modern
+Computer Algebra, Ch. 15): the squarefree decomposition over Q unless f
+is squarefree mod a small prime, then each part factored mod the
+smallest prime that keeps it squarefree (gfmat.factor_mod), Hensel
 lifted past the Landau-Mignotte bound and recombined by exact division.
+The arithmetic is gfmat's kernel over ratmat.Q (a monic integer divisor
+keeps integers), ratmat.prime_field(p) and ratmat.residue_ring(p^k).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from fractions import Fraction
 
-from . import gfmat
+from . import gfmat, ratmat
+from .ringcore import _is_prime
 
 # integer roots are peeled by trial division of the constant term only
 # below this bound (at most 2^12 divisions); past it Zassenhaus finds
@@ -31,40 +35,11 @@ def poly_eval(coeffs, x: int) -> int:
     return acc
 
 
-def divmod_monic(f, g):
-    """Divide f by monic g over the integers; returns (quotient, remainder)."""
-    assert g[-1] == 1, "divisor must be monic"
-    rem = list(f)
-    dg = len(g) - 1
-    quot = [0] * max(len(f) - dg, 1)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - dg] = c
-        for j, gj in enumerate(g):
-            rem[i - dg + j] -= c * gj
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    while len(quot) > 1 and quot[-1] == 0:
-        quot.pop()
-    return quot, rem
-
-
-def _divisors_signed(n: int):
+def _divisors_signed(n: int) -> list[int]:
+    """The divisors of n, each followed by its negative, ascending."""
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    out = []
-    for d in small + large[::-1]:
-        out.extend((d, -d))
-    return out
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return [s * d for d in small + [n // d for d in small[::-1] if d * d != n] for s in (1, -1)]
 
 
 def factor_monic(f) -> list[list[int]]:
@@ -75,24 +50,13 @@ def factor_monic(f) -> list[list[int]]:
     factors: list[list[int]] = []
 
     # peel integer roots (monic => all rational roots are integers)
-    changed = True
-    while changed and len(f) > 2 and abs(f[0]) < _PEEL_BOUND:
-        changed = False
-        if f[0] == 0:
-            quot, rem = divmod_monic(f, [0, 1])
-            assert rem == [0]
-            factors.append([0, 1])
-            f = quot
-            changed = True
-            continue
-        for r in _divisors_signed(f[0]):
-            if poly_eval(f, r) == 0:
-                quot, rem = divmod_monic(f, [-r, 1])
-                assert rem == [0]
-                factors.append([-r, 1])
-                f = quot
-                changed = True
-                break
+    while len(f) > 2 and abs(f[0]) < _PEEL_BOUND:
+        candidates = _divisors_signed(f[0]) if f[0] else [0]
+        r = next((r for r in candidates if poly_eval(f, r) == 0), None)
+        if r is None:
+            break
+        f = gfmat.poly_divmod(f, [-r, 1], ratmat.Q)[0]
+        factors.append([-r, 1])
 
     # a reducible monic polynomial of degree <= 3 has a linear factor, hence
     # an integer root, and a peeled f has none left (or is linear)
@@ -106,54 +70,25 @@ def factor_monic(f) -> list[list[int]]:
 
 
 def _primes():
-    return (p for p in itertools.count(2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
-
-
-def _derivative(f) -> list[int]:
-    return [i * c for i, c in enumerate(f)][1:] or [0]
+    return filter(_is_prime, itertools.count(2))
 
 
 def _squarefree_parts(f) -> list[tuple[list[int], int]]:
     """(part, multiplicity) pairs with f = prod part^multiplicity, the
     parts monic, squarefree and pairwise coprime.  When p does not divide
     deg f, f' keeps its degree mod p, so gcd(f, f') = 1 mod p makes the
-    discriminant nonzero mod p and f squarefree; otherwise Yun's
-    algorithm over Q."""
-    df = _derivative(f)
-    p = next(p for p in _primes() if (len(f) - 1) % p)
-    if len(gfmat.poly_gcd_mod(f, df, p)) == 1:
+    discriminant nonzero mod p and f squarefree; otherwise the squarefree
+    decomposition over Q, whose monic parts divide f and so have integer
+    coefficients by Gauss's lemma."""
+    if _separable_mod(f, next(p for p in _primes() if (len(f) - 1) % p)):
         return [(f, 1)]
-    a = _gcd_over_q(f, df)
-    b, c = divmod_monic(f, a)[0], divmod_monic(df, a)[0]
-    parts = []
-    mult = 1
-    while len(b) > 1:
-        d = [x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)]
-        a = _gcd_over_q(b, d)
-        if len(a) > 1:
-            parts.append((a, mult))
-        b, c = divmod_monic(b, a)[0], divmod_monic(d, a)[0]
-        mult += 1
-    return parts
+    return [([int(c) for c in part], mult) for part, mult in gfmat.squarefree(f, ratmat.Q)]
 
 
-def _gcd_over_q(a, b) -> list[int]:
-    """Monic gcd over Q of a monic integer a and an integer b; it divides
-    a, so by Gauss's lemma its coefficients are integers."""
-    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    while any(b):
-        while not b[-1]:
-            b.pop()
-        rem = list(a)
-        for i in range(len(rem) - 1, len(b) - 2, -1):
-            c = rem[i] / b[-1]
-            if c:
-                for j, y in enumerate(b, i - len(b) + 1):
-                    rem[j] -= c * y
-        a, b = b, rem[: len(b) - 1]
-    gcd = [x / a[-1] for x in a]
-    assert all(x.denominator == 1 for x in gcd), "a monic factor of a monic integer polynomial"
-    return [int(x) for x in gcd]
+def _separable_mod(f, p: int) -> bool:
+    """gcd(f, f') = 1 over Z_p."""
+    field = ratmat.prime_field(p)
+    return len(gfmat.poly_gcd(f, gfmat.derivative(f, field), field)) == 1
 
 
 def _factor_squarefree(f, root_free: bool) -> list[list[int]]:
@@ -161,8 +96,7 @@ def _factor_squarefree(f, root_free: bool) -> list[list[int]]:
     roots when root_free."""
     if len(f) <= (4 if root_free else 2):
         return [f]
-    df = _derivative(f)
-    p = next(p for p in _primes() if len(gfmat.poly_gcd_mod(f, df, p)) == 1)
+    p = next(p for p in _primes() if _separable_mod(f, p))
     modular = gfmat.factor_mod(f, p)
     if len(modular) == 1:
         return [f]
@@ -184,37 +118,38 @@ def _hensel_lift(f, factors, p: int, modulus: int) -> list[list[int]]:
     if len(factors) == 1:
         return [[c % modulus for c in f]]
     half = len(factors) // 2
-    g, h = _product_mod(factors[:half], p), _product_mod(factors[half:], p)
-    _, s, t = gfmat.poly_xgcd_mod(g, h, p)
+    field = ratmat.prime_field(p)
+    g, h = _product(factors[:half], field), _product(factors[half:], field)
+    _, s, t = gfmat.poly_xgcd(g, h, field)
     m = p
     while m < modulus:
         m *= m
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        g, h, s, t = _hensel_step(f, g, h, s, t, ratmat.residue_ring(m))
     return _hensel_lift(g, factors[:half], p, modulus) + _hensel_lift(
         h, factors[half:], p, modulus
     )
 
 
-def _product_mod(polys, q: int) -> list[int]:
-    out = [1]
-    for g in polys:
-        out = gfmat.poly_mul_mod(out, g, q)
-    return out
+def _product(polys, ring: ratmat.Field) -> list[int]:
+    return functools.reduce(functools.partial(gfmat.poly_mul, field=ring), polys, [1])
 
 
-def _hensel_step(f, g, h, s, t, m: int):
+def _hensel_step(f, g, h, s, t, ring: ratmat.Field):
     """From f = g h and s g + t h = 1 modulo sqrt(m), with g and h monic,
-    to the same identities modulo m (von zur Gathen & Gerhard,
-    Alg. 15.10)."""
-    add, sub, mul = gfmat.poly_add_mod, gfmat.poly_sub_mod, gfmat.poly_mul_mod
-    e = sub(f, mul(g, h, m), m)
-    quot, rem = gfmat.poly_divmod_mod(mul(s, e, m), h, m)
-    g = add(g, add(mul(t, e, m), mul(quot, g, m), m), m)
-    h = add(h, rem, m)
-    b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
-    quot, rem = gfmat.poly_divmod_mod(mul(s, b, m), h, m)
-    s = sub(s, rem, m)
-    t = sub(t, add(mul(t, b, m), mul(quot, g, m), m), m)
+    to the same identities modulo m, ring being Z_m (von zur Gathen &
+    Gerhard, Alg. 15.10)."""
+    add, sub, mul, divmod_ = (
+        functools.partial(op, field=ring)
+        for op in (gfmat.poly_add, gfmat.poly_sub, gfmat.poly_mul, gfmat.poly_divmod)
+    )
+    e = sub(f, mul(g, h))
+    quot, rem = divmod_(mul(s, e), h)
+    g = add(g, add(mul(t, e), mul(quot, g)))
+    h = add(h, rem)
+    b = sub(add(mul(s, g), mul(t, h)), [1])
+    quot, rem = divmod_(mul(s, b), h)
+    s = sub(s, rem)
+    t = sub(t, add(mul(t, b), mul(quot, g)))
     return g, h, s, t
 
 
@@ -224,6 +159,7 @@ def _recombine(f, lifted, modulus: int) -> list[list[int]]:
     residues and kept when it divides f exactly.  A factor found removes
     its subset, so what is left at the end is irreducible."""
     half = modulus // 2
+    ring = ratmat.residue_ring(modulus)
     found = []
     size = 1
     while 2 * size <= len(lifted):
@@ -234,10 +170,10 @@ def _recombine(f, lifted, modulus: int) -> list[list[int]]:
                 const -= modulus
             if const == 0 or f[0] % const:
                 continue
-            g = _product_mod([lifted[i] for i in subset], modulus)
+            g = _product([lifted[i] for i in subset], ring)
             g = [c - modulus if c > half else c for c in g]
-            quot, rem = divmod_monic(f, g)
-            if rem == [0]:
+            quot, rem = gfmat.poly_divmod(f, g, ratmat.Q)
+            if not rem:
                 found.append(g)
                 f = quot
                 lifted = [h for i, h in enumerate(lifted) if i not in subset]

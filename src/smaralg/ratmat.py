@@ -82,23 +82,29 @@ def mat_vec(a: Matrix, v) -> Vector:
 
 
 class Field(NamedTuple):
-    """A field as the elimination kernel sees it: its zero and one, the
-    inverse of a nonzero element, and the map that brings a row back to
-    canonical representatives after arithmetic on it."""
+    """A field as the elimination and polynomial kernels see it: its zero
+    and one, the inverse of a nonzero element, the map that brings a row
+    back to canonical representatives after arithmetic on it, and the
+    characteristic."""
 
     zero: object
     one: object
     inverse: Callable
     reduce: Callable
+    characteristic: int
 
 
-Q = Field(Fraction(0), Fraction(1), lambda x: 1 / Fraction(x), lambda row: row)
+Q = Field(Fraction(0), Fraction(1), lambda x: 1 / Fraction(x), lambda row: row, 0)
 
 
-@functools.cache
-def prime_field(q: int) -> Field:
-    """Z_q for a prime q, on the residues 0..q-1."""
-    return Field(0, 1, lambda x: pow(x, -1, q), lambda row: [x % q for x in row])
+def residue_ring(m: int) -> Field:
+    """Z_m on the residues 0..m-1.  A field only for prime m; for any m > 1
+    it still serves the polynomial kernel's sums, products and division by
+    a polynomial whose leading coefficient is a unit."""
+    return Field(0, 1, lambda x: pow(x, -1, m), lambda row: [x % m for x in row], m)
+
+
+prime_field = functools.cache(residue_ring)  # Z_q for a prime q, built once per q
 
 
 def rref(m, field: Field = Q):

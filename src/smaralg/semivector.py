@@ -500,6 +500,15 @@ def lattice_semivector_check(join, meet) -> LatticeCheck:
     return LatticeCheck(True)
 
 
+def chain_lattice_check(m: int) -> LatticeCheck:
+    """lattice_semivector_check(*chain_tables(m)), answered without the
+    tables: max and min on 0..m-1 form a distributive lattice for every
+    m >= 1, so the check cannot fail."""
+    if m < 1:
+        raise ValueError("join/meet tables must be square and equal-sized")
+    return LatticeCheck(True)
+
+
 def chain_tables(m: int):
     """Join/meet tables of the chain lattice C_m, for the checker."""
     join = [[max(a, b) for b in range(m)] for a in range(m)]

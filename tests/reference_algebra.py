@@ -33,7 +33,6 @@ import itertools
 from fractions import Fraction
 
 from smaralg import ratmat, semigroup
-from smaralg.intpoly import _divisors_signed, divmod_monic, poly_eval
 from smaralg.linalg import SubfieldMatrix, SubfieldVector, char_poly, identity_matrix, mat_mul
 from smaralg.ringcore import SubfieldRejection, certify_subfield
 from smaralg.semivector import _EXACT_SET_WORK, LatticeCheck
@@ -294,6 +293,44 @@ def _interpolate(points):
     return coeffs
 
 
+def _poly_eval(coeffs, x: int) -> int:
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _divisors_signed(n: int) -> list[int]:
+    """The divisors of n != 0 built from its prime factorization, each
+    followed by its negative, in ascending absolute value."""
+    n = abs(n)
+    divisors = [1]
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        divisors = [d * p**i for d in divisors for i in range(k + 1)]
+        p += 1
+    if n > 1:
+        divisors += [d * n for d in divisors]
+    return [s * d for d in sorted(divisors) for s in (1, -1)]
+
+
+def _divmod_monic(f, g):
+    """(quotient, remainder) of f by a monic g over the integers, by long
+    division; [0] for a zero quotient or remainder."""
+    rem = list(f)
+    quot = [0] * max(len(f) - len(g) + 1, 1)
+    for i in range(len(f) - len(g), -1, -1):
+        quot[i] = c = rem[i + len(g) - 1]
+        for j, y in enumerate(g):
+            rem[i + j] -= c * y
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    while len(quot) > 1 and quot[-1] == 0:
+        quot.pop()
+    return quot, rem
+
+
 _KRONECKER_CAP = 250_000
 _VALUE_CAP = 10**12  # divisor enumeration is O(sqrt(value))
 
@@ -315,15 +352,15 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
     while changed and len(f) > 2:
         changed = False
         if f[0] == 0:
-            quot, rem = divmod_monic(f, [0, 1])
+            quot, rem = _divmod_monic(f, [0, 1])
             assert rem == [0]
             factors.append([0, 1])
             f = quot
             changed = True
             continue
         for r in _divisors_signed(f[0]):
-            if poly_eval(f, r) == 0:
-                quot, rem = divmod_monic(f, [-r, 1])
+            if _poly_eval(f, r) == 0:
+                quot, rem = _divmod_monic(f, [-r, 1])
                 assert rem == [0]
                 factors.append([-r, 1])
                 f = quot
@@ -345,7 +382,7 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
         while len(points) < r + 1:
             points.append(x)
             x = -x if x > 0 else -x + 1
-        values = [poly_eval(f, p) for p in points]
+        values = [_poly_eval(f, p) for p in points]
         assert all(v != 0 for v in values), "roots should have been peeled"
         if any(abs(v) > _VALUE_CAP for v in values):
             raise ValueError(f"Kronecker values too large for {f}")
@@ -366,13 +403,13 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
                 cand_int.pop()
             if len(cand_int) - 1 != r or cand_int[-1] != 1:
                 continue
-            quot, rem = divmod_monic(f, cand_int)
+            quot, rem = _divmod_monic(f, cand_int)
             if rem == [0]:
                 found = cand_int
                 break
         if found is not None:
             factors.append(found)  # minimal degree => irreducible
-            f, _ = divmod_monic(f, found)
+            f, _ = _divmod_monic(f, found)
             continue  # retry the same r on the quotient
         r += 1
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -491,6 +492,23 @@ class TestSemivecLattice:
             "--lattice", '{"kind":"chain","size":4}',
         )
         assert code == 0 and report["payload"]["ok"]
+
+    def test_large_chain_answers_without_tables(self, capsys):
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys, "semivec", "--action", "lattice-check",
+            "--lattice", '{"kind":"chain","size":1000000}',
+        )
+        assert time.perf_counter() - start < 0.1
+        assert code == 0 and report["payload"] == {"axiom": None, "ok": True, "witness": None}
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_chain_is_domain_error(self, capsys, size):
+        code, report = run_json(
+            capsys, "semivec", "--action", "lattice-check",
+            "--lattice", json.dumps({"kind": "chain", "size": size}),
+        )
+        assert code == 1 and report["payload"]["reason"] == "domain_error"
 
     def test_explicit_tables_file(self, capsys, tmp_path):
         import json as _json

@@ -15,6 +15,7 @@ from smaralg.semivector import (
     _check_family,
     _coefficient_ranges,
     _exact_residual_sets,
+    chain_lattice_check,
     chain_tables,
     combine,
     enumerate_representations,
@@ -600,6 +601,21 @@ def random_tables(draw):
 @given(set_lattices() | random_tables())
 def test_lattice_check_matches_all_axiom_oracle(tables):
     assert lattice_semivector_check(*tables) == lattice_check_all_axioms(*tables)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_chain_check_without_tables_matches_the_table_check(m):
+    tables = chain_tables(m)
+    assert chain_lattice_check(m) == lattice_semivector_check(*tables)
+    assert chain_lattice_check(m) == lattice_check_all_axioms(*tables)
+
+
+@pytest.mark.parametrize("m", [0, -1, -7])
+def test_chain_check_rejects_an_empty_chain_as_the_table_check_does(m):
+    with pytest.raises(ValueError) as by_tables:
+        lattice_semivector_check(*chain_tables(m))
+    with pytest.raises(ValueError, match=str(by_tables.value)):
+        chain_lattice_check(m)
 
 
 def commutative_idempotent_tables(m):
