@@ -145,9 +145,12 @@ class LeontiefSolution(Record):
     singular_nullspace: tuple[Vector, ...] = ()
 
 
-def _first_positive_power(a: Matrix, limit: int) -> int | None:
+def _first_positive_power(a: Matrix) -> int | None:
+    """The least m with A^m > 0 entrywise, for a nonnegative d x d matrix
+    A; None when there is none, which proves A is not primitive: by
+    Wielandt's bound a primitive A has A^((d-1)^2+1) > 0."""
     power = a
-    for m in range(1, limit + 1):
+    for m in range(1, (len(a) - 1) ** 2 + 2):
         if all(x > 0 for row in power for x in row):
             return m
         power = ratmat.mat_mul(power, a)
@@ -208,7 +211,9 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
     """Equilibria of Ap = p: the exact nullspace of I - A.
 
     Exchange matrices take the classical path (a nonnegative equilibrium
-    is reported, uniqueness tied to nullity 1 and a positive power of A);
+    is reported, uniqueness tied to nullity 1 and a positive power of A:
+    positive_power is the least m with A^m > 0, searched up to
+    Wielandt's bound (d-1)^2+1, so None proves A is not primitive);
     anything else takes the relaxed path, where no equilibrium may exist
     and multiple independent ones are resolved by the deterministic
     best-solution policy: among the equilibria of 1-norm one, least
@@ -252,7 +257,7 @@ def closed_solve(a: Matrix) -> LeontiefSolution:
             representative=representative,
             nonnegative_exists=nonneg,
             unique=len(basis) == 1,
-            positive_power=_first_positive_power(a, dim),
+            positive_power=_first_positive_power(a),
             warnings=tuple(warnings),
         )
 

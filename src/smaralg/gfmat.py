@@ -105,11 +105,6 @@ def poly_mul(a, b, field: ratmat.Field) -> list:
     return _trim(field.reduce(out))
 
 
-def poly_mul_mod(a, b, q: int) -> list[int]:
-    """a b over Z_q."""
-    return poly_mul(a, b, ratmat.residue_ring(q))
-
-
 def _monic(a, field: ratmat.Field) -> list:
     """a divided by its leading coefficient ([] for a = [])."""
     if not a:

@@ -213,9 +213,6 @@ class EigenSystem(Record):
     alien_values: tuple[AlienValue, ...]
     diagonalizable: bool
 
-    def s_value_set(self) -> set[int]:
-        return {ev.value for ev in self.s_values}
-
 
 def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     """S-characteristic values in k with canonical eigenbases, plus the

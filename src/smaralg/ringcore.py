@@ -61,10 +61,6 @@ class Subfield(Record):
             raise ValueError(f"{p} is not prime")
         return cls(n=p, elements=tuple(range(p)), identity=1, prime_order=p)
 
-    @property
-    def is_whole_ring(self) -> bool:
-        return self.prime_order == self.n
-
     def to_prime(self, a: int) -> int:
         """Map an element of the subfield to its residue in Z_q; KeyError
         for a non-member."""

@@ -393,10 +393,18 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
     """Decide isomorphism and produce an invertible intertwiner witness.
 
     The decision is by exact character equality (valid over the rationals
-    for finite groups); the witness is found by sweeping deterministic
-    small-integer combinations of a basis of the intertwiners, the group
-    averages of the elementary matrices (_intertwiner_space), a sweep
-    that provably cannot miss an invertible element when one exists.
+    for finite groups).  The witness is built from the basis B_1, ..., B_k
+    of the intertwiners (_intertwiner_space) by raising the rank: from
+    T = 0 of rank r = 0, while r < d, T becomes the first T + c B_i, in
+    basis order and then c = 1, ..., r + 1, whose rank exceeds r.
+
+    The search cannot stall.  K = ker T is a submodule of V1, and by
+    Maschke's theorem and Krull-Schmidt cancellation V2 / im T is
+    isomorphic to K, so some B_i maps K outside im T.  In bases adapted
+    to T, the (r+1)-minor that borders T's nonsingular r-minor with a
+    nonzero entry of B_i from K to V2 / im T is c h(c), h of degree <= r
+    with h(0) != 0, so one of c = 1, ..., r + 1 raises the rank: at most
+    d steps of at most k (r + 1) rank tests each.
     """
     if isomorphism is None:
         if rep1.subgroup.elements != rep2.subgroup.elements or rep1.subgroup.table != rep2.subgroup.table:
@@ -436,30 +444,20 @@ def rep_isomorphic(rep1: Representation, rep2: Representation, isomorphism=None)
             )
 
     basis = _intertwiner_space(rep1.matrices, m2_pulled, rep1.subgroup)
-    k = len(basis)
-    assert k > 0, "equal characters force a nonzero intertwiner space"
-
-    def weight_vectors():
-        # cheap first guesses, then the full grid {0..d}^k: det of a
-        # weighted sum has per-variable degree <= d, and a nonzero
-        # polynomial cannot vanish on that whole grid, so the sweep is
-        # complete whenever an invertible intertwiner exists at all
-        for i in range(k):
-            yield tuple(1 if j == i else 0 for j in range(k))
-        yield (1,) * k
-        yield from itertools.product(range(d + 1), repeat=k)
-
-    for weights in weight_vectors():
-        cand = ratmat.zeros(d, d)
-        for w, b in zip(weights, basis):
-            if w:
-                cand = ratmat.add(cand, ratmat.scale(w, b))
-        if ratmat.rank(cand) == d:
-            _assert_intertwines(
-                cand, rep1.matrices, m2_pulled, rep1.subgroup.elements, "witness must intertwine"
-            )
-            return IsoReport(True, cand, None)
-    raise AssertionError("equal characters but no invertible intertwiner found")
+    assert basis, "equal characters force a nonzero intertwiner space"
+    t, r = ratmat.zeros(d, d), 0
+    while r < d:
+        candidates = (ratmat.add(t, ratmat.scale(c, b)) for b in basis for c in range(1, r + 2))
+        for cand in candidates:
+            if (rank := ratmat.rank(cand)) > r:
+                t, r = cand, rank
+                break
+        else:
+            raise AssertionError(f"the witness search stalled at rank {r} of {d}")
+    _assert_intertwines(
+        t, rep1.matrices, m2_pulled, rep1.subgroup.elements, "witness must intertwine"
+    )
+    return IsoReport(True, t, None)
 
 
 @dataclass(frozen=True)

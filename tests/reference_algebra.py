@@ -10,7 +10,9 @@ products read one ``at()`` entry at a time that linalg's row-by-column
 kernel replaced, the minimal
 polynomial solved one degree at a time, the monic integer factorization
 by Kronecker's divisor interpolation that intpoly's Zassenhaus replaced,
-the intertwiner space solved from its defining linear constraints, the invariant decomposition with
+the intertwiner space solved from its defining linear constraints, the
+isomorphism witness found by sweeping the unit and all-ones weightings
+and then the {0..d}^k grid, the invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
 every factor of the minimal polynomial tried, the subgroup list that
 certifies every subset of a semigroup table, the lattice check that
@@ -22,8 +24,9 @@ the {-2..2}^k grid of basis weightings.
 
 It also holds the helpers that only tests call: entrywise sums,
 differences and scalar multiples of subfield matrices, the
-Cayley-Hamilton residual p(A), semigroup tables built from a binary
-operation, and the trivial representation.
+Cayley-Hamilton residual p(A), the set of S-characteristic values of an
+eigen system, the whole-ring test of a subfield, semigroup tables built
+from a binary operation, and the trivial representation.
 """
 
 from __future__ import annotations
@@ -258,6 +261,35 @@ def intertwiner_space_by_constraints(m1, m2, elements, d1: int, d2: int):
     ]
 
 
+def rep_isomorphic_by_grid(rep1, rep2):
+    """An invertible intertwiner T (T M1(x) = M2(x) T) of two
+    representations of one subgroup, or None when there is none.
+
+    Over the constraint oracle's basis B_1..B_k it tries the unit
+    weightings, then all ones, then every point of {0..d}^k in
+    lexicographic order, one determinant each: det(sum w_i B_i) has degree
+    at most d in each w_i, and a nonzero polynomial of that kind cannot
+    vanish on the whole grid, so None means no invertible intertwiner
+    exists.  Exponential in k: a degree-4 trivial representation of C2
+    with itself does not finish in a minute."""
+    d = rep1.degree
+    if d != rep2.degree:
+        return None
+    elements = rep1.subgroup.elements
+    basis = intertwiner_space_by_constraints(rep1.matrices, rep2.matrices, elements, d, d)
+    k = len(basis)
+    units = (tuple(int(i == j) for j in range(k)) for i in range(k))
+    grid = itertools.product(range(d + 1), repeat=k)
+    for weights in itertools.chain(units, [(1,) * k], grid):
+        cand = tuple(
+            tuple(sum((w * b[i][j] for w, b in zip(weights, basis)), Fraction(0)) for j in range(d))
+            for i in range(d)
+        )
+        if rat_det(cand) != 0:
+            return cand
+    return None
+
+
 def min_poly_by_degree(m):
     """Monic minimal polynomial, ascending coefficients: the first power
     M^k that lies in the span of I, ..., M^(k-1), one solve per degree."""
@@ -416,6 +448,16 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
     if len(f) > 1:
         factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
+
+
+def s_value_set(es) -> set[int]:
+    """The S-characteristic values of an EigenSystem, as a set."""
+    return {ev.value for ev in es.s_values}
+
+
+def is_whole_ring(sf) -> bool:
+    """Whether the subfield is all of Z_n (n prime)."""
+    return sf.prime_order == sf.n
 
 
 def table_from_operation(elements, op):

@@ -371,6 +371,13 @@ class TestEconCli:
         assert code == 0
         assert report["payload"]["representative"] == ["1/3", "2/3"]
 
+    def test_leontief_closed_primitive_past_the_dimension(self, capsys):
+        # A^3 still has a zero entry; A^5 is the first positive power
+        code, report = run_json(
+            capsys, "leontief", "--model", "closed", "--matrix", "0,0,1/2;1,0,1/2;0,1,0"
+        )
+        assert code == 0 and report["payload"]["positive_power"] == 5
+
     @pytest.mark.parametrize("matrix", ["3,1,3;0,1,0;0,0,1", "2,1,3;0,1,0;0,0,1"])
     def test_leontief_closed_relaxed_best(self, capsys, matrix):
         # the {-2..2}^2 basis weightings miss this optimum: their best has

@@ -118,6 +118,32 @@ class TestClosedModel:
         assert sol.representative == (Fraction(1, 3), Fraction(2, 3))
         assert sol.positive_power == 1
 
+    def test_positive_power_up_to_wielandts_bound(self):
+        # primitive, but A, A^2, A^3 and A^4 each have a zero entry
+        sol = closed_solve(m([[0, 0, "1/2"], [1, 0, "1/2"], [0, 1, 0]]))
+        assert sol.path == "classical" and sol.positive_power == 5
+        # a 4-cycle is irreducible but not primitive
+        cycle = m([[int(i == (j + 1) % 4) for j in range(4)] for i in range(4)])
+        assert closed_solve(cycle).positive_power is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.lists(st.booleans(), min_size=d, max_size=d), min_size=d, max_size=d)
+    ))
+    def test_positive_power_matches_a_long_boolean_search(self, pattern):
+        # no power past the bound is positive when none up to it is:
+        # search three times as far over the boolean pattern of A
+        d = len(pattern)
+        power, found = pattern, None
+        for k in range(1, 3 * d * d + 1):
+            if all(map(all, power)):
+                found = k
+                break
+            power = [[any(p and pattern[t][j] for t, p in enumerate(row)) for j in range(d)]
+                     for row in power]
+        a = m([[int(x) for x in row] for row in pattern])
+        assert econ._first_positive_power(a) == found
+
     def test_identity_full_nullspace(self):
         sol = closed_solve(ratmat.identity(2))
         assert len(sol.basis) == 2 and not sol.unique

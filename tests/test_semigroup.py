@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smaralg import ratmat, semigroup
@@ -30,6 +30,8 @@ from smaralg.semigroup import (
 from reference_algebra import (
     decompose_whole_space,
     intertwiner_space_by_constraints,
+    rat_det,
+    rep_isomorphic_by_grid,
     subgroups_by_subset_scan,
     table_from_operation,
     trivial_representation,
@@ -689,10 +691,15 @@ def representations(draw, name, degree=None):
         shear = [list(row) for row in ratmat.identity(d)]
         shear[i][j] = draw(units)
         p = ratmat.mat_mul(p, ratmat.mat(shear))
+    return _conjugated(rep, p)
+
+
+def _conjugated(rep, p):
+    """The representation x -> P^-1 M(x) P."""
     inv = ratmat.inverse(p)
     return Representation(
         rep.subgroup,
-        d,
+        rep.degree,
         {x: ratmat.mat_mul(ratmat.mat_mul(inv, m), p) for x, m in rep.matrices.items()},
     )
 
@@ -742,11 +749,7 @@ class TestIntertwinerSpace:
         name = data.draw(st.sampled_from(sorted(GROUPS)))
         group, table = GROUPS[name], GROUP_TABLES[name].table
         perm = data.draw(st.permutations(range(len(table))))
-        copy = [[0] * len(table) for _ in table]
-        for x, row in enumerate(table):
-            for y, z in enumerate(row):
-                copy[perm[x]][perm[y]] = perm[z]
-        copy_group = find_subgroups(validate_table(copy))[0]
+        copy_group = find_subgroups(_relabelled(table, perm))[0]
         rep1 = regular_representation(group, data.draw(st.sampled_from(Side)))
         rep2 = regular_representation(copy_group, data.draw(st.sampled_from(Side)))
         phi = {x: perm[x] for x in group.elements}
@@ -802,3 +805,133 @@ def test_matrix_poly_is_horner_with_scaled_identity(dim, data):
     got = semigroup._matrix_poly(coeffs, m)
     assert got == expected
     assert all(type(x) is Fraction for row in got for x in row)
+
+
+def _product_table(m, n):
+    """Z_m x Z_n, the pair (i, j) at index i n + j."""
+    return validate_table([
+        [((a // n + b // n) % m) * n + (a + b) % n for b in range(m * n)] for a in range(m * n)
+    ])
+
+
+# every group of order 2-8, up to isomorphism
+SMALL_GROUP_TABLES = {
+    **GROUP_TABLES,
+    "C2xC2": validate_table([[a ^ b for b in range(4)] for a in range(4)]),
+    "C2xC4": _product_table(2, 4),
+    "C2^3": validate_table([[a ^ b for b in range(8)] for a in range(8)]),
+}
+
+
+def _relabelled(table, perm):
+    """The table with each element x renamed perm[x]."""
+    copy = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, z in enumerate(row):
+            copy[perm[x]][perm[y]] = perm[z]
+    return validate_table(copy)
+
+
+def _direct_sum(group, reps):
+    d = sum(r.degree for r in reps)
+
+    def block(x):
+        rows, offset = [], 0
+        for r in reps:
+            for row in r.matrix(x):
+                rows.append([0] * offset + list(row) + [0] * (d - offset - r.degree))
+            offset += r.degree
+        return ratmat.mat(rows)
+
+    return Representation(group, d, {x: block(x) for x in group.elements})
+
+
+def _irreducible_plane_of_s3():
+    group = GROUPS["S3"]
+    h = next(h for h in find_subgroups(GROUP_TABLES["S3"], all_subgroups=True) if h.order == 2)
+    zero_sum = [ratmat.vec([1, 0, -1]), ratmat.vec([0, 1, -1])]
+    return Representation(group, 2, _restrict(_coset_representation(group, h), zero_sum)[0])
+
+
+@functools.cache
+def sums_with_repeated_components():
+    c2, c3, s3 = GROUPS["C2"], GROUPS["C3"], GROUPS["S3"]
+    w = _irreducible_plane_of_s3()
+    return [
+        *(_direct_sum(g, [trivial_representation(g)] * m) for g in (c2, s3) for m in (2, 3, 4)),
+        _direct_sum(c3, [regular_representation(c3, Side.LEFT), trivial_representation(c3)]),
+        _direct_sum(s3, [regular_representation(s3, Side.LEFT), trivial_representation(s3)]),
+        _direct_sum(s3, [w, w]),
+        _direct_sum(s3, [w, w, trivial_representation(s3)]),
+        *(_direct_sum(g, [regular_representation(g, Side.LEFT)] * 2) for g in (c2, c3)),
+    ]
+
+
+@st.composite
+def integer_conjugators(draw, d):
+    """An invertible d x d integer matrix with entries in [-3, 3]."""
+    entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    p = ratmat.mat(draw(st.lists(entries, min_size=d, max_size=d)))
+    assume(ratmat.rank(p) == d)
+    return p
+
+
+def _assert_witness(report, rep1, rep2):
+    t = report.intertwiner
+    assert report.isomorphic and ratmat.rank(t) == rep1.degree
+    for x in rep1.subgroup.elements:
+        assert ratmat.mat_mul(t, rep1.matrix(x)) == ratmat.mat_mul(rep2.matrix(x), t)
+
+
+class TestWitnessSearch:
+    """rep_isomorphic builds its witness by raising the rank of T + c B_i."""
+
+    @pytest.mark.parametrize("d, limit", [(4, 0.1), (8, 1.0)])
+    def test_trivial_representation_of_c2_in_time(self, d, limit):
+        # every intertwiner basis element E_ij has rank 1, so the search
+        # takes d steps; the {0..d}^k grid needed about 2.5e8 candidates at d = 4
+        rep = permutation_representation(GROUPS["C2"], lambda x, p: p, range(d))
+        start = time.perf_counter()
+        report = rep_isomorphic(rep, rep)
+        assert time.perf_counter() - start < limit
+        _assert_witness(report, rep, rep)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_conjugated_direct_sums_with_repeated_components(self, data):
+        rep = data.draw(st.sampled_from(sums_with_repeated_components()))
+        rep1 = _conjugated(rep, data.draw(integer_conjugators(rep.degree)))
+        rep2 = _conjugated(rep, data.draw(integer_conjugators(rep.degree)))
+        _assert_witness(rep_isomorphic(rep1, rep2), rep1, rep2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_GROUP_TABLES)), st.data())
+    def test_left_right_regular_witness_is_the_first_basis_element(self, name, data):
+        # B_1 is the indicator of one orbit on pairs: a permutation matrix
+        table = SMALL_GROUP_TABLES[name].table
+        perm = data.draw(st.permutations(range(len(table))))
+        group = find_subgroups(_relabelled(table, perm))[0]
+        left, right = regular_pair(group)
+        report = rep_isomorphic(left, right)
+        assert report.intertwiner == _intertwiner_space(left.matrices, right.matrices, group)[0]
+        _assert_witness(report, left, right)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(GROUPS)), st.data())
+    def test_grid_oracle_agrees_up_to_degree_3(self, name, data):
+        rep1 = data.draw(representations(name).filter(lambda r: r.degree <= 3))
+        rep2 = data.draw(representations(name, rep1.degree))
+        report = rep_isomorphic(rep1, rep2)
+        grid = rep_isomorphic_by_grid(rep1, rep2)
+        assert report.isomorphic == (grid is not None)
+        if grid is not None:
+            assert rat_det(grid) != 0
+            _assert_witness(report, rep1, rep2)
+
+    def test_a_stalled_search_names_its_rank(self, monkeypatch):
+        # a basis missing every intertwiner that could raise rank 1
+        rep = permutation_representation(GROUPS["C2"], lambda x, p: p, range(2))
+        corner = ratmat.mat([[1, 0], [0, 0]])
+        monkeypatch.setattr(semigroup, "_intertwiner_space", lambda *args: [corner])
+        with pytest.raises(AssertionError, match="stalled at rank 1 of 2"):
+            rep_isomorphic(rep, rep)
