@@ -148,13 +148,31 @@ class LeontiefSolution(Record):
 def _first_positive_power(a: Matrix) -> int | None:
     """The least m with A^m > 0 entrywise, for a nonnegative d x d matrix
     A; None when there is none, which proves A is not primitive: by
-    Wielandt's bound a primitive A has A^((d-1)^2+1) > 0."""
-    power = a
-    for m in range(1, (len(a) - 1) ** 2 + 2):
-        if all(x > 0 for row in power for x in row):
+    Wielandt's bound a primitive A has A^((d-1)^2+1) > 0.
+
+    For nonnegative A, (A^m)_ij > 0 exactly when a walk of length m runs
+    from i to j along positive entries, so only the zero pattern matters:
+    each row is a bitmask, and row i of A^(m+1) is the OR of the rows of A
+    that row i of A^m selects.
+    """
+    d = len(a)
+    pattern = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in a]
+    full = (1 << d) - 1
+    power = pattern
+    for m in range(1, (d - 1) ** 2 + 2):
+        if all(row == full for row in power):
             return m
-        power = ratmat.mat_mul(power, a)
+        power = [_or_of_selected(row, pattern) for row in power]
     return None
+
+
+def _or_of_selected(mask: int, rows: list[int]) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _best_on_unit_ball(rows, pivots, dim: int) -> Vector:

@@ -10,9 +10,14 @@ with e the subfield identity, which usually is not 1.
 Every product is row × column: one kernel dots the rows of the left
 factor (slices of its row-major entries) with the columns of the right
 one (taken once with zip), reducing each entry mod n.  mat_mul,
-apply_matrix and the spectral re-verification all run through it; the
-re-verification still checks every identity of every decomposition, and
-only skips wrapping each product in a validated matrix.
+apply_matrix, the eigenpair checks and the spectral construction and
+re-verification all run through it.
+
+The spectral re-verification checks A = Aᵀ, E_i = E_iᵀ, A·E_i = c_i·E_i,
+ΣE_i = I_e and Σc_iE_i = A mod n: k products of d×d matrices for k
+distinct values.  E_iA = c_iE_i, E_iE_j = 0 for i ≠ j and E_i² = E_i
+are derived from those (the proof is in _reverify_spectral), not
+multiplied out.
 """
 
 from __future__ import annotations
@@ -216,7 +221,9 @@ class EigenSystem(Record):
 
 def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     """S-characteristic values in k with canonical eigenbases, plus the
-    alien values in Z_n \\ k; every (c, v) pair is re-verified mod n."""
+    alien values in Z_n \\ k; every (c, v) pair is re-verified mod n, and
+    each alien value lam by A·w = lam·w mod n on the image A·w of its
+    witness w that the eigenpair check already computed."""
     if not a.is_square():
         raise ValueError("eigen decomposition needs a square matrix")
     k = a.k
@@ -224,7 +231,9 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
     cp = char_poly(a)
     prime = to_prime_matrix(a)
     field = ratmat.prime_field(q)
+    a_rows = _rows(a)
     s_values = []
+    first_images = {}  # c -> A·w mod n for the first basis vector w of c
     for r in range(q - 1, -1, -1):
         if cp.zn_rendition[r] != 0:  # from_prime(p(r)), zero exactly at the roots
             continue
@@ -236,9 +245,10 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
         basis = tuple(from_prime_vector(k, v) for v in ratmat.nullspace(shifted, field))
         c = k.from_prime(r)
         for v in basis:
-            got = apply_matrix(a, v).entries
+            got = _products(a_rows, (v.entries,), n)
             want = tuple((c * x) % n for x in v.entries)
             assert got == want, f"eigenpair re-verification failed at c={c}"
+            first_images.setdefault(c, got)
         s_values.append(SEigenvalue(value=c, basis=basis, algebraic_multiplicity=alg))
     by_value = {ev.value: ev for ev in s_values}
     aliens = []
@@ -246,10 +256,10 @@ def eigen_system(a: SubfieldMatrix) -> EigenSystem:
         if k.contains(lam) or cp.zn_rendition[lam] != 0:
             continue
         # det vanishes at lam iff lam mod q is a root, so lam·e is an s-value
-        witness = by_value[(lam * k.identity) % n].basis[0]
-        got = apply_matrix(a, witness).entries
+        c = (lam * k.identity) % n
+        witness = by_value[c].basis[0]
         want = tuple((lam * x) % n for x in witness.entries)
-        assert got == want, f"alien witness re-verification failed at {lam}"
+        assert first_images[c] == want, f"alien witness re-verification failed at {lam}"
         aliens.append(AlienValue(value=lam, witness=witness))
     diag = sum(ev.geometric_multiplicity for ev in s_values) == dim
     return EigenSystem(
@@ -316,10 +326,11 @@ class SpectralDiagnostic(Record):
 def spectral_decompose(a: SubfieldMatrix):
     """T = sum c_i E_i for a self-adjoint diagonalizable operator.
 
-    The projections are built from the eigenbasis change of basis over
-    Z_q and mapped back; all idempotence/orthogonality/reconstruction
-    identities are asserted mod n before returning.  Non-diagonalizable
-    input yields a SpectralDiagnostic, never a partial answer.
+    Each E_i is the orthogonal projection onto the eigenspace of c_i,
+    built over Z_q from that eigenspace's Gram matrix and mapped back; the
+    identities of the decomposition are re-verified mod n before
+    returning (see _reverify_spectral).  Non-diagonalizable input yields
+    a SpectralDiagnostic, never a partial answer.
     """
     if not a.is_square():
         raise ValueError("spectral decomposition needs a square matrix")
@@ -330,10 +341,17 @@ def spectral_decompose(a: SubfieldMatrix):
 
 def _spectral_from_eigen(es: EigenSystem):
     """spectral_decompose for a self-adjoint matrix whose eigen system
-    is already computed."""
+    is already computed.
+
+    For A = Aᵀ the eigenspaces of distinct values are pseudo-orthogonal:
+    (c_i − c_j)·uᵀv = (Au)ᵀv − uᵀ(Av) = 0.  When they span k^d, the
+    coordinate form, nondegenerate on k^d, is nondegenerate on each of
+    them, so the Gram matrix B_iᵀB_i of the d×m_i eigenbasis B_i is
+    invertible and E_i = B_i (B_iᵀB_i)⁻¹ B_iᵀ projects onto the eigenspace
+    along the sum of the others: the spectral projection.  Only the
+    m_i×m_i Gram matrices are inverted.
+    """
     a = es.matrix
-    k = a.k
-    q, dim = k.prime_order, a.rows
     if not es.diagonalizable:
         for ev in es.s_values:
             if ev.geometric_multiplicity < ev.algebraic_multiplicity:
@@ -345,41 +363,21 @@ def _spectral_from_eigen(es: EigenSystem):
                 )
         return SpectralDiagnostic(reason="char_poly_does_not_split_over_k")
 
-    blocks: list[range] = []  # the eigenbasis columns of each eigenvalue
-    columns: list[list[int]] = []
-    for ev in es.s_values:
-        blocks.append(range(len(columns), len(columns) + len(ev.basis)))
-        for v in ev.basis:
-            columns.append([k.to_prime(x) for x in v.entries])
-    inv = ratmat.inverse(list(zip(*columns)), ratmat.prime_field(q))
-    assert inv is not None, "eigenbasis must be invertible when diagonalizable"
-
-    # E_i = B D_i B^-1 with D_i the 0/1 diagonal of eigenvalue i's columns,
-    # so E_i is those columns of B times the same rows of B^-1
+    k = a.k
+    q, dim = k.prime_order, a.rows
+    field = ratmat.prime_field(q)
     terms = []
-    for block, ev in zip(blocks, es.s_values):
-        b_rows = list(zip(*(columns[t] for t in block)))
-        inv_cols = list(zip(*(inv[t] for t in block)))
-        e_prime = _products(b_rows, inv_cols, q)
-        proj = SubfieldMatrix(k, dim, dim, tuple(map(k.from_prime, e_prime)))
-        terms.append((ev.value, proj))
-
-    n = k.n
-    rows = [_rows(proj) for _, proj in terms]
-    cols = [_columns(proj) for _, proj in terms]
-    zero = (0,) * (dim * dim)
-    for (_, proj), r, c in zip(terms, rows, cols):
-        assert _products(r, c, n) == proj.entries, "E_i must be idempotent"
-    for i in range(len(terms)):
-        for j in range(len(terms)):
-            if i != j:
-                assert _products(rows[i], cols[j], n) == zero, "E_i E_j must vanish for i != j"
-    by_entry = list(zip(*(proj.entries for _, proj in terms)))  # (E_1[x], E_2[x], ...)
-    total = tuple(sum(xs) % n for xs in by_entry)
-    assert total == identity_matrix(k, dim).entries, "projections must sum to I_e"
-    values = [c for c, _ in terms]
-    recon = tuple(sum(map(mul, values, xs)) % n for xs in by_entry)
-    assert recon == a.entries, "sum of c_i E_i must reconstruct A"
+    for ev in es.s_values:
+        basis = [tuple(map(k.to_prime, v.entries)) for v in ev.basis]  # the rows of B_iᵀ
+        m = len(basis)
+        gram = _products(basis, basis, q)
+        gram_inv = ratmat.inverse([gram[r:r + m] for r in range(0, m * m, m)], field)
+        assert gram_inv is not None, "eigenspace Gram matrix must be invertible"
+        b_rows = list(zip(*basis))
+        left = _products(b_rows, list(zip(*gram_inv)), q)  # B_i (B_iᵀB_i)⁻¹, d×m_i
+        e_prime = _products([left[r:r + m] for r in range(0, dim * m, m)], b_rows, q)
+        terms.append((ev.value, SubfieldMatrix(k, dim, dim, tuple(map(k.from_prime, e_prime)))))
+    _reverify_spectral(a, terms)
 
     orthogonal = True
     for i in range(len(es.s_values)):
@@ -393,6 +391,34 @@ def _spectral_from_eigen(es: EigenSystem):
         residual_ok=True,
         eigenspaces_pseudo_orthogonal=orthogonal,
     )
+
+
+def _reverify_spectral(a: SubfieldMatrix, terms) -> None:
+    """Assert, mod n, that the terms (c_i, E_i) with distinct c_i in k are
+    the spectral decomposition of A: A = Aᵀ, each E_i = E_iᵀ, each
+    A·E_i = c_i·E_i, ΣE_i = I_e and Σc_iE_i = A.  That is k products of
+    d×d matrices, and these identities imply the rest:
+    - E_iA = E_iᵀAᵀ = (A·E_i)ᵀ = c_iE_i;
+    - so E_jAE_i is both c_i·E_jE_i and c_j·E_jE_i, and
+      (c_i − c_j)·E_jE_i = 0.  c_i − c_j is a unit of k and e·X = X for
+      every matrix X over k, so E_jE_i = 0 for i ≠ j;
+    - hence E_i = E_i·I_e = Σ_j E_iE_j = E_i², so each E_i is idempotent.
+    """
+    n, dim = a.n, a.rows
+    values = [c for c, _ in terms]
+    assert len(set(values)) == len(values), "the values c_i must be distinct"
+    a_rows = _rows(a)
+    assert a_rows == _columns(a), "A must be self-adjoint"
+    for c, proj in terms:
+        cols = _columns(proj)
+        assert _rows(proj) == cols, "E_i must be symmetric"
+        want = tuple(c * x % n for x in proj.entries)
+        assert _products(a_rows, cols, n) == want, "A E_i must equal c_i E_i"
+    by_entry = list(zip(*(proj.entries for _, proj in terms)))  # (E_1[x], E_2[x], ...)
+    total = tuple(sum(xs) % n for xs in by_entry)
+    assert total == identity_matrix(a.k, dim).entries, "projections must sum to I_e"
+    recon = tuple(sum(map(mul, values, xs)) % n for xs in by_entry)
+    assert recon == a.entries, "sum of c_i E_i must reconstruct A"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,11 @@ polynomial solved one degree at a time, the monic integer factorization
 by Kronecker's divisor interpolation that intpoly's Zassenhaus replaced,
 the intertwiner space solved from its defining linear constraints, the
 isomorphism witness found by sweeping the unit and all-ones weightings
-and then the {0..d}^k grid, the invariant decomposition with
+and then the {0..d}^k grid, the spectral projections built from the
+inverse of the whole eigenbasis and checked pair by pair that linalg's
+Gram projections replaced, the primitive exponent found by exact
+Fraction powers that econ's zero-pattern bitsets replaced, the
+invariant decomposition with
 every block re-expressed in the coordinates of the whole space and
 every factor of the minimal polynomial tried, the subgroup list that
 certifies every subset of a semigroup table, the lattice check that
@@ -448,6 +452,77 @@ def factor_monic_by_kronecker(f) -> list[list[int]]:
     if len(f) > 1:
         factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
+
+
+def _nullspace_mod(a, q: int) -> list[list[int]]:
+    """Nullspace basis mod prime q from rref_mod: each free variable set
+    to 1 in turn, ascending."""
+    reduced, pivots = rref_mod(a, q)
+    cols = len(a[0])
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free] % q
+        basis.append(v)
+    return basis
+
+
+def spectral_terms_by_eigenbasis_inverse(a: SubfieldMatrix):
+    """The spectral terms (c_i, E_i) of a self-adjoint A over k, values in
+    eigen_system's order (residues q-1 down to 0), or None when A is not
+    diagonalizable over k.  The eigenbasis B comes from rref_mod
+    nullspaces, its inverse from rref_mod of [B | I], and
+    E_i = B·D_i·B⁻¹ with D_i the 0/1 diagonal of c_i's columns; every
+    identity E_iE_j = δ_ij·E_i, ΣE_i = I_e and Σc_iE_i = A is asserted
+    mod n, k² products in all."""
+    k, dim, q = a.k, a.rows, a.k.prime_order
+    prime = [[k.to_prime(a.at(i, j)) for j in range(dim)] for i in range(dim)]
+    blocks, columns = [], []
+    for r in range(q - 1, -1, -1):
+        shifted = [[(prime[i][j] - r * (i == j)) % q for j in range(dim)] for i in range(dim)]
+        basis = _nullspace_mod(shifted, q)
+        if basis:
+            blocks.append((k.from_prime(r), range(len(columns), len(columns) + len(basis))))
+            columns += basis
+    if len(columns) < dim:
+        return None
+    b = [list(row) for row in zip(*columns)]
+    reduced, pivots = rref_mod([row + [int(i == j) for j in range(dim)]
+                                for i, row in enumerate(b)], q)
+    assert pivots == list(range(dim)), "the eigenbasis must be invertible"
+    b_inv = [row[dim:] for row in reduced]
+    terms = []
+    for c, block in blocks:
+        entries = [
+            k.from_prime(sum(b[i][t] * b_inv[t][j] for t in block) % q)
+            for i in range(dim) for j in range(dim)
+        ]
+        terms.append((c, SubfieldMatrix(k, dim, dim, tuple(entries))))
+    zero = SubfieldMatrix(k, dim, dim, (0,) * (dim * dim))
+    for i, (_, e_i) in enumerate(terms):
+        for j, (_, e_j) in enumerate(terms):
+            want = e_i if i == j else zero
+            assert mat_mul_by_entries(e_i, e_j).entries == want.entries, "E_iE_j = δ_ij·E_i"
+    total, recon = zero, zero
+    for c, e in terms:
+        total, recon = mat_add(total, e), mat_add(recon, scalar_mul(c, e))
+    identity = tuple(k.identity * (i == j) for i in range(dim) for j in range(dim))
+    assert total.entries == identity, "ΣE_i = I_e"
+    assert recon.entries == a.entries, "Σc_iE_i = A"
+    return terms
+
+
+def first_positive_power_by_products(a) -> int | None:
+    """The least m up to Wielandt's bound (d-1)²+1 with A^m > 0 entrywise,
+    from exact Fraction powers of A; None when there is none."""
+    power = a
+    for m in range(1, (len(a) - 1) ** 2 + 2):
+        if all(x > 0 for row in power for x in row):
+            return m
+        power = ratmat.mat_mul(power, a)
+    return None
 
 
 def s_value_set(es) -> set[int]:

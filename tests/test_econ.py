@@ -1,11 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import best_by_grid, best_by_vertex_enumeration, leontief_best_key
+from reference_algebra import (
+    best_by_grid,
+    best_by_vertex_enumeration,
+    first_positive_power_by_products,
+    leontief_best_key,
+)
 from smaralg import econ, ratmat
 from smaralg.econ import (
     NON_PRODUCTIVE_LABEL,
@@ -143,6 +149,33 @@ class TestClosedModel:
                      for row in power]
         a = m([[int(x) for x in row] for row in pattern])
         assert econ._first_positive_power(a) == found
+
+    @staticmethod
+    def wielandt(d):
+        """The d-cycle 0 -> 1 -> ... -> d-1 -> 0 plus the chord d-1 -> 1:
+        primitive with exponent (d-1)^2 + 1, the largest possible."""
+        return m([[int(j == i + 1 or (i == d - 1 and j in (0, 1))) for j in range(d)]
+                  for i in range(d)])
+
+    def test_positive_power_reaches_wielandts_bound(self):
+        for d in range(2, 13):
+            assert econ._first_positive_power(self.wielandt(d)) == (d - 1) ** 2 + 1
+        a = self.wielandt(12)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            econ._first_positive_power(a)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.005
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda d: st.lists(st.lists(st.sampled_from([0, 0, 0, Fraction(1, 3), 1, 2]),
+                                    min_size=d, max_size=d), min_size=d, max_size=d)
+    ))
+    def test_positive_power_matches_the_fraction_powers(self, rows):
+        a = m(rows)
+        assert econ._first_positive_power(a) == first_positive_power_by_products(a)
 
     def test_identity_full_nullspace(self):
         sol = closed_solve(ratmat.identity(2))

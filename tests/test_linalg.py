@@ -14,6 +14,7 @@ from reference_algebra import (
     mat_sub,
     s_value_set,
     scalar_mul,
+    spectral_terms_by_eigenbasis_inverse,
     transpose_by_entries,
 )
 from smaralg import cli, linalg, ratmat
@@ -521,8 +522,11 @@ class TestSpectral:
 
 
 REVERIFICATION_MESSAGES = {
-    "E_i must be idempotent",
-    "E_i E_j must vanish for i != j",
+    "the values c_i must be distinct",
+    "A must be self-adjoint",
+    "eigenspace Gram matrix must be invertible",
+    "E_i must be symmetric",
+    "A E_i must equal c_i E_i",
     "projections must sum to I_e",
     "sum of c_i E_i must reconstruct A",
 }
@@ -535,9 +539,9 @@ def dimension_5_self_adjoint():
 
 @pytest.mark.parametrize("make", [z6_matrix, dimension_5_self_adjoint])
 class TestProjectionReverificationFires:
-    """An eigenbasis inverse that is wrong in one entry gives projections
-    that sum to B·B'^-1 != I_e, so some identity of the decomposition
-    must fail its assert."""
+    """A Gram inverse that is wrong in one entry turns each E_i into
+    B_i·(G_i⁻¹ + δ)·B_iᵀ, which is no projection, so some identity of the
+    decomposition must fail its assert."""
 
     @pytest.fixture(autouse=True)
     def off_by_one_inverse(self, make, monkeypatch):
@@ -590,3 +594,124 @@ class TestBilinearForm:
                 r1, _, _ = rref_and_nullspace(g)
                 r2, _, _ = rref_and_nullspace(g.transpose())
                 assert r1 == r2
+
+
+SPECTRAL_FIELDS = [
+    k for n in (6, 10, 14, 15, 21, 22, 26, 33, 39, 66) for k in find_subfields(n)
+] + [Subfield.whole_prime(q) for q in (5, 7, 11, 13)]
+
+
+def terms_as_entries(terms):
+    return [(c, e.entries) for c, e in terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SPECTRAL_FIELDS),
+    st.integers(1, 8),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_gram_projections_equal_the_eigenbasis_inverse_oracle(k, dim, by_reflections, rng):
+    """The Gram projections equal B·D_i·B⁻¹ term for term, and the
+    eigenspaces of a self-adjoint diagonalizable matrix are always
+    pseudo-orthogonal.  Reflections give diagonalizable inputs with
+    repeated values; plain symmetric matrices also give the diagnostics."""
+    if by_reflections:
+        a = self_adjoint_by_reflections(rng, k, [rng.randrange(k.prime_order) for _ in range(dim)])
+    else:
+        rows = [[rng.choice(k.elements) for _ in range(dim)] for _ in range(dim)]
+        a = SubfieldMatrix.from_rows(k, [[rows[min(i, j)][max(i, j)] for j in range(dim)]
+                                         for i in range(dim)])
+    result = spectral_decompose(a)
+    oracle = spectral_terms_by_eigenbasis_inverse(a)
+    if isinstance(result, SpectralDiagnostic):
+        assert oracle is None and not by_reflections
+        return
+    assert terms_as_entries(result.terms) == terms_as_entries(oracle)
+    assert result.eigenspaces_pseudo_orthogonal
+
+
+def with_entry(proj, x, value):
+    entries = list(proj.entries)
+    entries[x] = value % proj.n
+    return SubfieldMatrix(proj.k, proj.rows, proj.cols, tuple(entries))
+
+
+class TestReverificationCatchesCorruption:
+    """Corrupted terms handed straight to the re-verification: each must
+    raise, while the true terms pass."""
+
+    def setup_method(self):
+        self.a = dimension_5_self_adjoint()
+        self.terms = list(spectral_decompose(self.a).terms)
+
+    def test_true_terms_pass(self):
+        linalg._reverify_spectral(self.a, self.terms)
+
+    def test_a_repeated_value_raises(self):
+        # merging two terms under one value would void the derivation of E_iE_j = 0
+        (c, e1), (_, e2) = self.terms[:2]
+        with pytest.raises(AssertionError, match="^the values c_i must be distinct$"):
+            linalg._reverify_spectral(self.a, [(c, e1), (c, e2), *self.terms[2:]])
+
+    def test_each_entry_off_by_e_raises(self):
+        e = self.a.k.identity
+        for i, (c, proj) in enumerate(self.terms):
+            for x in range(len(proj.entries)):
+                bad = list(self.terms)
+                bad[i] = (c, with_entry(proj, x, proj.entries[x] + e))
+                with pytest.raises(AssertionError) as exc:
+                    linalg._reverify_spectral(self.a, bad)
+                assert str(exc.value) in REVERIFICATION_MESSAGES
+
+    def test_a_symmetric_shift_that_keeps_both_sums_raises(self):
+        # N·(x, y, z) added to E_1, E_2, E_3 with x + y + z = 0 and
+        # c_1x + c_2y + c_3z = 0 leaves ΣE_i and Σc_iE_i unchanged
+        a, n = self.a, self.a.n
+        c1, c2, c3 = (c for c, _ in self.terms[:3])
+        shifts = [(c3 - c2) % n, (c1 - c3) % n, (c2 - c1) % n]
+        for r in range(a.rows):
+            for s in range(r, a.rows):
+                bad = list(self.terms)
+                for t, x in enumerate(shifts):
+                    c, proj = bad[t]
+                    proj = with_entry(proj, r * a.cols + s, proj.at(r, s) + x * a.k.identity)
+                    if r != s:
+                        proj = with_entry(proj, s * a.cols + r, proj.at(s, r) + x * a.k.identity)
+                    bad[t] = (c, proj)
+                total = recon = SubfieldMatrix(a.k, a.rows, a.cols, (0,) * len(a.entries))
+                for c, proj in bad:
+                    total, recon = mat_add(total, proj), mat_add(recon, scalar_mul(c, proj))
+                assert total.entries == identity_matrix(a.k, a.rows).entries
+                assert recon.entries == a.entries
+                with pytest.raises(AssertionError, match="^A E_i must equal c_i E_i$"):
+                    linalg._reverify_spectral(a, bad)
+
+
+@pytest.mark.parametrize("make", [
+    dimension_5_self_adjoint,
+    # sixteen distinct values over the order-17 subfield of Z_34
+    lambda: self_adjoint_by_reflections(
+        random.Random(16), certify_subfield(34, set(range(0, 34, 2))), list(range(1, 17))),
+])
+def test_spectral_inverts_only_gram_matrices_and_makes_k_full_products(make, monkeypatch):
+    es = eigen_system(make())
+    dim, k = es.matrix.rows, len(es.s_values)
+    shapes, inverted = [], []
+    products, inverse = linalg._products, ratmat.inverse
+
+    def counted_products(rows, cols, n):
+        shapes.append((len(rows), len(cols), len(rows[0])))
+        return products(rows, cols, n)
+
+    def counted_inverse(m, field=ratmat.Q):
+        inverted.append((len(m), len(m[0])))
+        return inverse(m, field)
+
+    monkeypatch.setattr(linalg, "_products", counted_products)
+    monkeypatch.setattr(linalg.ratmat, "inverse", counted_inverse)
+    linalg._spectral_from_eigen(es)
+    assert inverted == [(len(ev.basis), len(ev.basis)) for ev in es.s_values]
+    assert shapes.count((dim, dim, dim)) == k
+    assert sum(r * c * inner for r, c, inner in shapes) <= (k + 3) * dim ** 3

@@ -1,7 +1,8 @@
 """The oracles in reference_algebra check smaralg, so they must not be
 built on the code they check: the factoring oracles must import nothing
-of the polynomial kernel, and the isomorphism-witness grid must not
-reach rep_isomorphic, or one fault would pass on both sides of a
+of the polynomial kernel, the isomorphism-witness grid must not reach
+rep_isomorphic, and the spectral oracle must not reach linalg's spectral
+route or ratmat's inverse, or one fault would pass on both sides of a
 comparison."""
 
 import ast
@@ -12,6 +13,13 @@ KERNEL = {"smaralg.intpoly", "smaralg.gfmat"}
 GRID_ORACLE = "rep_isomorphic_by_grid"
 # the function's dotted names, and its bare name as getattr would spell it
 CHECKED = {"smaralg.semigroup.rep_isomorphic", "smaralg.rep_isomorphic", "rep_isomorphic"}
+SPECTRAL_ORACLE = "spectral_terms_by_eigenbasis_inverse"
+SPECTRAL_ROUTE = {
+    f"{module}.{name}"
+    for module in ("smaralg", "smaralg.linalg")
+    for name in ("_spectral_from_eigen", "spectral_decompose", "eigen_system")
+} | {"_spectral_from_eigen", "spectral_decompose", "eigen_system",
+     "smaralg.ratmat.inverse", "inverse"}
 
 
 def imported_modules(tree):
@@ -112,3 +120,28 @@ def test_the_grid_check_sees_each_form_of_call():
     for source in forms:
         tree = ast.parse(source.replace("{}", GRID_ORACLE))
         assert reached_names(tree, GRID_ORACLE) & CHECKED, source
+
+
+def test_the_spectral_oracle_does_not_reach_the_spectral_route():
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    names = reached_names(tree, SPECTRAL_ORACLE)
+    assert {"rref_mod", "mat_mul_by_entries", "_nullspace_mod"} <= names
+    assert names & SPECTRAL_ROUTE == set()
+
+
+def test_the_spectral_check_sees_each_form_of_call():
+    forms = [
+        "from smaralg import linalg\ndef {}(a): return linalg.eigen_system(a)",
+        "from smaralg import linalg as la\ndef {}(a): return la._spectral_from_eigen(a)",
+        "import smaralg.linalg\ndef {}(a): return smaralg.linalg.spectral_decompose(a)",
+        "from smaralg import spectral_decompose\ndef {}(a): return spectral_decompose(a)",
+        "from smaralg.ratmat import inverse as inv\ndef {}(a): return inv(a)",
+        "from smaralg import ratmat\ndef {}(a): return ratmat.inverse(a)",
+        "from smaralg import ratmat\ndef {}(a): return getattr(ratmat, 'inverse')(a)",
+        "from smaralg import linalg\n"
+        "def helper(a): return linalg.eigen_system(a)\n"
+        "def {}(a): return helper(a)",
+    ]
+    for source in forms:
+        tree = ast.parse(source.replace("{}", SPECTRAL_ORACLE))
+        assert reached_names(tree, SPECTRAL_ORACLE) & SPECTRAL_ROUTE, source
