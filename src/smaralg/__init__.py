@@ -22,6 +22,7 @@ from enum import Enum
 __version__ = "0.1.0"
 
 _PLAIN = (type(None), bool, int, str)
+_PLAIN_TYPES = frozenset(_PLAIN)
 
 
 def json_form(x):
@@ -33,6 +34,8 @@ def json_form(x):
     if type(x) in _PLAIN:
         return x
     if isinstance(x, (list, tuple)):
+        if _PLAIN_TYPES.issuperset(map(type, x)):  # payloads hold many tuples of ints
+            return list(x)
         return [json_form(v) for v in x]
     if isinstance(x, dict):
         # str keys before json.dumps sorts them, which would sort ints as numbers

@@ -7,6 +7,15 @@ error, 2 usage error, 3 internal error (a re-verification or other
 internal invariant failed: a bug, not a fault of the input).  --pretty
 adds a human-readable rendering instead of the compact JSON.
 
+Each handler ``cmd_*`` only computes: it returns ``(payload, pretty)``,
+the payload in any form ``json_form`` accepts (records included) and
+``pretty`` the --pretty text, or raises.  ``main`` alone turns that into
+the JSON form, prints the one report and picks the exit code.  A
+subcommand's citations are declared with it in ``build_parser``
+(``set_defaults(citations=...)``).  ``golden`` alone takes its citations
+and its status from its results: the anchors it replayed, and an error
+report with exit 1 when one of them failed.
+
 Importing this module loads no layer module: each handler imports the
 layers it uses when it runs, so a process pays only for the layers of
 its own subcommand (check with ``python -X importtime -c "import
@@ -23,20 +32,6 @@ from pathlib import Path
 
 from . import json_form
 
-CITATIONS = {
-    "subfields": ["Def 2.4.1", "Thm 2.9.9"],
-    "certify": ["Def 2.4.1"],
-    "poly": ["Results 1.6.1", "Thm 1.6.1", "Thm 1.6.3", "Thm 1.6.4"],
-    "spectral": ["Def 2.4.4", "Thm 1.6.6", "S-Spectral Theorem (2.4)"],
-    "classify-roots": ["3.1 (three-valued root classification)"],
-    "semigroup": ["2.6 (S-semigroup subgroups)"],
-    "rep": ["1.8 (regular representations)", "2.6 (S-representations)", "Thm 2.6.1"],
-    "semivec": ["Def 1.9.5-1.9.9", "Thm 1.9.10", "Thm 1.9.13", "Thm 1.9.15"],
-    "markov": ["1.10 (transition matrices)", "3.2 (S-transition matrices)"],
-    "leontief": ["3.3 (Leontief closed/open models)"],
-    "golden": [],
-}
-
 
 class DomainError(Exception):
     def __init__(self, reason: str, message: str):
@@ -44,9 +39,9 @@ class DomainError(Exception):
         super().__init__(message)
 
 
-def _print_report(args, payload, citations, pretty_text=None, status="ok") -> None:
+def _print_report(args, payload, citations, pretty_text, status) -> None:
     report = {"status": status, "payload": payload, "citations": citations}
-    if getattr(args, "pretty", False) and pretty_text is not None:
+    if args.pretty and pretty_text is not None:
         print(pretty_text)
     else:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -142,13 +137,11 @@ def _semigroup_table_from_args(args) -> semigroup.SemigroupTable:
 def cmd_subfields(args):
     from . import ringcore
     fields = ringcore.find_subfields(args.n)
-    payload = [s.to_json() for s in fields]
     pretty = "\n".join(
         f"Z_{args.n}: elements {s.elements} identity {s.identity} ~ Z_{s.prime_order}"
         for s in fields
     ) or f"Z_{args.n}: no proper subfields"
-    _print_report(args, payload, CITATIONS["subfields"], pretty)
-    return 0
+    return fields, pretty
 
 
 def cmd_certify(args):
@@ -158,43 +151,38 @@ def cmd_certify(args):
     except ringcore.SubfieldRejection as exc:
         raise DomainError(exc.reason, exc.detail) from exc
     payload = sf.to_json()
-    payload["to_prime"] = {str(a): sf.to_prime(a) for a in sf.elements}
-    _print_report(args, payload, CITATIONS["certify"],
-                  f"field with identity {sf.identity}, isomorphic to Z_{sf.prime_order}")
-    return 0
+    payload["to_prime"] = {a: sf.to_prime(a) for a in sf.elements}
+    return payload, f"field with identity {sf.identity}, isomorphic to Z_{sf.prime_order}"
 
 
 def cmd_poly(args):
     from . import polylab, ringcore
     p = polylab.parse_poly(args.expr, args.mod)
-    payload = {"polynomial": p.to_json()}
+    payload = {"polynomial": p}
     if ringcore._is_prime(p.n):
         report = polylab.reducibility_report(p)
         payload["roots"] = list(report.roots)
-        payload["reducibility"] = report.to_json()
+        payload["reducibility"] = report
         payload["coefficient_sum"] = polylab.coeff_sum_hom(p)
     else:
         payload["roots"] = polylab.roots_in(p, range(p.n))
-    pretty = f"{p} over Z_{p.n}: roots {payload['roots']}"
-    _print_report(args, payload, CITATIONS["poly"], pretty)
-    return 0
+    return payload, f"{p} over Z_{p.n}: roots {payload['roots']}"
 
 
 def cmd_spectral(args):
     from . import linalg
     a = _subfield_matrix_from_args(args)
     es = linalg.eigen_system(a)
-    payload = {"eigen_system": es.to_json(), "self_adjoint": linalg.self_adjoint_check(a)}
+    payload = {"eigen_system": es, "self_adjoint": linalg.self_adjoint_check(a)}
     if payload["self_adjoint"]:
         result = linalg._spectral_from_eigen(es)
         if isinstance(result, linalg.SpectralDiagnostic):
             raise DomainError("not_diagonalizable", json.dumps(result.to_json(), sort_keys=True))
-        payload["spectral"] = result.to_json()
+        payload["spectral"] = result
     svals = ", ".join(
         f"{ev.value} (x{ev.algebraic_multiplicity})" for ev in es.s_values
     )
-    _print_report(args, payload, CITATIONS["spectral"], f"s-values: {svals}")
-    return 0
+    return payload, f"s-values: {svals}"
 
 
 def cmd_classify_roots(args):
@@ -202,25 +190,15 @@ def cmd_classify_roots(args):
     k = ringcore.subfield_from_elements(args.mod, _parse_int_list(args.subfield))
     p = polylab.parse_poly(args.expr, args.mod)
     cls = polylab.neutrosophic_classify(p, k)
-    _print_report(args, cls.to_json(), CITATIONS["classify-roots"],
-                  f"{p} over Z_{p.n} rel {k.elements}: {cls.truth.value}")
-    return 0
+    return cls, f"{p} over Z_{p.n} rel {k.elements}: {cls.truth.value}"
 
 
 def cmd_semigroup(args):
     from . import semigroup
     table = _semigroup_table_from_args(args)
     subs = semigroup.find_subgroups(table, all_subgroups=args.all_subgroups)
-    payload = {
-        "order": table.order,
-        "idempotents": table.idempotents(),
-        "subgroups": [s.to_json() for s in subs],
-    }
-    pretty = "\n".join(
-        f"subgroup at {s.identity}: {s.elements}" for s in subs
-    )
-    _print_report(args, payload, CITATIONS["semigroup"], pretty)
-    return 0
+    payload = {"order": table.order, "idempotents": table.idempotents(), "subgroups": subs}
+    return payload, "\n".join(f"subgroup at {s.identity}: {s.elements}" for s in subs)
 
 
 def cmd_rep(args):
@@ -232,31 +210,20 @@ def cmd_rep(args):
     record = semigroup.maximal_subgroup_at(table, args.identity)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     rep = semigroup.regular_representation(record, side)
-    payload = {"representation": rep.to_json(), "side": args.side}
+    payload = {"representation": rep, "side": args.side}
+    pretty = f"regular {args.side} representation of degree {rep.degree}"
     if args.check_lr:
         other = semigroup.regular_representation(
             record, Side.RIGHT if side is Side.LEFT else Side.LEFT
         )
         left, right = (rep, other) if side is Side.LEFT else (other, rep)
-        payload["left_right_isomorphic"] = semigroup.rep_isomorphic(rep, other).to_json()
-        payload["inversion_intertwiner"] = json_form(semigroup.left_right_intertwiner(left, right))
+        payload["left_right_isomorphic"] = semigroup.rep_isomorphic(rep, other)
+        payload["inversion_intertwiner"] = semigroup.left_right_intertwiner(left, right)
     if args.decompose:
         blocks = semigroup.decompose_invariants(rep)
-        payload["invariant_blocks"] = [
-            {
-                "dimension": b.dimension,
-                "irreducible": b.irreducible,
-                "certificate": b.certificate,
-                "basis": json_form(b.basis),
-            }
-            for b in blocks
-        ]
-    pretty = f"regular {args.side} representation of degree {rep.degree}"
-    if args.decompose:
-        dims = sorted(b.dimension for b in blocks)
-        pretty += f", invariant block dims {dims}"
-    _print_report(args, payload, CITATIONS["rep"], pretty)
-    return 0
+        payload["invariant_blocks"] = [json_form(b) | {"dimension": b.dimension} for b in blocks]
+        pretty += f", invariant block dims {sorted(b.dimension for b in blocks)}"
+    return payload, pretty
 
 
 def _semifield_from_args(args):
@@ -291,9 +258,7 @@ def cmd_semivec(args):
         else:
             tables = _checked(data, {"join": [[int]], "meet": [[int]]}, "lattice")
             result = semivector.lattice_semivector_check(tables["join"], tables["meet"])
-        pretty = "semivector space over C_2" if result.ok else f"fails {result.axiom}"
-        _print_report(args, result.to_json(), CITATIONS["semivec"], pretty)
-        return 0
+        return result, "semivector space over C_2" if result.ok else f"fails {result.axiom}"
     if not args.vectors:
         raise DomainError("missing_input", f"{args.action} needs --vectors")
     sf = _semifield_from_args(args)
@@ -304,28 +269,24 @@ def cmd_semivec(args):
             raise DomainError("missing_input", f"{args.action} needs --target")
         target = semivector.SemivectorTuple(sf, tuple(_parse_int_list(args.target)))
     if args.action == "independent":
-        payload = semivector.independence_check(vectors, scalars).to_json()
-        pretty = "independent" if payload["independent"] else "dependent"
-    elif args.action == "span":
-        payload = semivector.span_membership(target, vectors, scalars).to_json()
-        pretty = "member" if payload["member"] else "not a member"
-    elif args.action == "spans":
+        result = semivector.independence_check(vectors, scalars)
+        return result, "independent" if result.independent else "dependent"
+    if args.action == "span":
+        result = semivector.span_membership(target, vectors, scalars)
+        return result, "member" if result.member else "not a member"
+    if args.action == "spans":
         if args.space == "carrier":
             space = "carrier"
         elif args.space and args.space.startswith("dim:"):
             space = int(args.space.split(":", 1)[1])
         else:
             raise DomainError("missing_input", "spans needs --space dim:N or carrier")
-        payload = semivector.spans_space(vectors, space, scalars).to_json()
-        pretty = "spans" if payload["spans"] else f"missing {payload['missing']}"
-    elif args.action == "enumerate":
+        result = semivector.spans_space(vectors, space, scalars)
+        return result, "spans" if result.spans else f"missing {list(result.missing)}"
+    if args.action == "enumerate":
         reps = semivector.enumerate_representations(target, vectors, scalars)
-        payload = {"count": len(reps), "representations": [list(r) for r in reps]}
-        pretty = f"{len(reps)} representation(s)"
-    else:
-        raise DomainError("bad_action", f"unknown action {args.action!r}")
-    _print_report(args, payload, CITATIONS["semivec"], pretty)
-    return 0
+        return {"count": len(reps), "representations": reps}, f"{len(reps)} representation(s)"
+    raise DomainError("bad_action", f"unknown action {args.action!r}")
 
 
 def cmd_markov(args):
@@ -333,13 +294,11 @@ def cmd_markov(args):
     p = _matrix_from_args(args)
     state = _parse_rat_vector(args.state)
     trajectory = econ.markov_step(p, state, args.steps)
-    payload = trajectory.to_json()
     pretty = "\n".join(
         "step {}: ({})".format(i + 1, ", ".join(map(str, s)))
         for i, s in enumerate(trajectory.states)
     )
-    _print_report(args, payload, CITATIONS["markov"], pretty)
-    return 0
+    return trajectory, pretty
 
 
 def cmd_leontief(args):
@@ -357,24 +316,18 @@ def cmd_leontief(args):
     payload = solution.to_json()
     if names:
         payload["industries"] = names
-    pretty = json.dumps(payload, sort_keys=True, indent=2)
-    _print_report(args, payload, CITATIONS["leontief"], pretty)
-    return 0
+    return payload, json.dumps(payload, sort_keys=True, indent=2)
 
 
 def cmd_golden(args):
     from . import golden
     results = golden.run_golden()
-    payload = [r.to_json() for r in results]
     pretty = "\n".join(
         f"[{'PASS' if r.passed else 'FAIL'}] {r.anchor}: {r.description}"
         + (f" ({r.detail})" if r.detail else "")
         for r in results
     )
-    failed = not all(r.passed for r in results)
-    _print_report(args, payload, [r.anchor for r in results], pretty,
-                  "error" if failed else "ok")
-    return 1 if failed else 0
+    return results, pretty
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,34 +344,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_pretty(sub.add_parser("subfields", help="list the subfields of Z_n"))
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_subfields)
+    p.set_defaults(func=cmd_subfields, citations=["Def 2.4.1", "Thm 2.9.9"])
 
     p = with_pretty(sub.add_parser("certify", help="certify a subset as a subfield"))
     p.add_argument("n", type=int)
     p.add_argument("--elements", required=True, help="comma list, e.g. 0,2,4")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, citations=["Def 2.4.1"])
 
     p = with_pretty(sub.add_parser("poly", help="roots and root criteria of a polynomial"))
     p.add_argument("expr", help='e.g. "x^2+1" or "x^2+1 mod 5"')
     p.add_argument("--mod", type=int, default=None)
-    p.set_defaults(func=cmd_poly)
+    p.set_defaults(func=cmd_poly,
+                   citations=["Results 1.6.1", "Thm 1.6.1", "Thm 1.6.3", "Thm 1.6.4"])
 
     p = with_pretty(sub.add_parser("spectral", help="eigen system and spectral decomposition"))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="matrix JSON file")
     group.add_argument("--matrix", help="inline matrix JSON")
-    p.set_defaults(func=cmd_spectral)
+    p.set_defaults(func=cmd_spectral,
+                   citations=["Def 2.4.4", "Thm 1.6.6", "S-Spectral Theorem (2.4)"])
 
     p = with_pretty(sub.add_parser("classify-roots", help="three-valued root classification"))
     p.add_argument("expr")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--subfield", required=True, help="comma list, e.g. 0,3")
-    p.set_defaults(func=cmd_classify_roots)
+    p.set_defaults(func=cmd_classify_roots, citations=["3.1 (three-valued root classification)"])
 
     p = with_pretty(sub.add_parser("semigroup", help="validate a table and list subgroups"))
     p.add_argument("--file", required=True, help="table as .json or .csv")
     p.add_argument("--all-subgroups", action="store_true")
-    p.set_defaults(func=cmd_semigroup)
+    p.set_defaults(func=cmd_semigroup, citations=["2.6 (S-semigroup subgroups)"])
 
     p = with_pretty(sub.add_parser("rep", help="regular representation of a subgroup"))
     p.add_argument("--file", required=True, help="table as .json or .csv")
@@ -426,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--check-lr", action="store_true", help="verify left ~ right isomorphism")
     p.add_argument("--decompose", action="store_true", help="split into invariant blocks")
-    p.set_defaults(func=cmd_rep)
+    p.set_defaults(func=cmd_rep, citations=[
+        "1.8 (regular representations)", "2.6 (S-representations)", "Thm 2.6.1"])
 
     p = with_pretty(sub.add_parser("semivec", help="semivector-space checks"))
     p.add_argument(
@@ -444,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         help='lattice JSON ({"kind":"chain","size":4} or join/meet tables) '
         "inline or as a .json file",
     )
-    p.set_defaults(func=cmd_semivec)
+    p.set_defaults(func=cmd_semivec,
+                   citations=["Def 1.9.5-1.9.9", "Thm 1.9.10", "Thm 1.9.13", "Thm 1.9.15"])
 
     p = with_pretty(sub.add_parser("markov", help="exact transition iteration"))
     group = p.add_mutually_exclusive_group(required=True)
@@ -452,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--file", help="matrix JSON file")
     p.add_argument("--state", required=True, help='e.g. "1,0"')
     p.add_argument("--steps", type=int, default=1)
-    p.set_defaults(func=cmd_markov)
+    p.set_defaults(func=cmd_markov,
+                   citations=["1.10 (transition matrices)", "3.2 (S-transition matrices)"])
 
     p = with_pretty(sub.add_parser("leontief", help="closed/open input-output models"))
     p.add_argument("--model", choices=["closed", "open"], required=True)
@@ -460,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--matrix", help="inline matrix")
     group.add_argument("--file", help="matrix JSON or consumption CSV")
     p.add_argument("--demand", help="demand vector for the open model")
-    p.set_defaults(func=cmd_leontief)
+    p.set_defaults(func=cmd_leontief, citations=["3.3 (Leontief closed/open models)"])
 
     p = with_pretty(sub.add_parser("golden", help="replay the book's worked examples"))
-    p.set_defaults(func=cmd_golden)
+    p.set_defaults(func=cmd_golden, citations=[])
     return parser
 
 
@@ -483,29 +441,29 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _print_error(args, reason: str, message: str) -> None:
-    payload = {"reason": reason, "message": message}
-    _print_report(args, payload, CITATIONS.get(args.command, []), status="error")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_signed_values(argv))
+    citations, pretty = args.citations, None
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        payload, pretty, code = json_form(payload), text, 0
     except DomainError as exc:
-        _print_error(args, exc.reason, str(exc))
-        return 1
+        code, payload = 1, {"reason": exc.reason, "message": str(exc)}
     except (ValueError, OSError) as exc:
-        _print_error(args, "domain_error", f"{type(exc).__name__}: {exc}")
-        return 1
+        code, payload = 1, {"reason": "domain_error", "message": f"{type(exc).__name__}: {exc}"}
     except (AssertionError, KeyError) as exc:
         # Input is validated by raising ValueError or DomainError; an
         # assertion is a re-verification of a computed result, and a
         # missing key is a lookup the validated input should have made safe.
-        _print_error(args, "internal_error", f"{type(exc).__name__}: {exc}")
-        return 3
+        code, payload = 3, {"reason": "internal_error", "message": f"{type(exc).__name__}: {exc}"}
+    else:
+        if args.command == "golden":  # cites its anchors; one failed check fails the run
+            citations = [r["anchor"] for r in payload]
+            code = 0 if all(r["passed"] for r in payload) else 1
+    _print_report(args, payload, citations, pretty, "error" if code else "ok")
+    return code
 
 
 if __name__ == "__main__":

@@ -194,6 +194,12 @@ def check_z6_spectral():
     assert isinstance(sd, linalg.SpectralDecomposition)
     assert [c for c, _ in sd.terms] == [4, 0]
     assert sd.residual_ok and sd.eigenspaces_pseudo_orthogonal
+    # the flag is set by theorem; the eigenbases show it
+    s_values = linalg.eigen_system(a).s_values
+    for i, evi in enumerate(s_values):
+        for evj in s_values[i + 1:]:
+            assert all(linalg.pseudo_inner_product(u, v) == 0
+                       for u in evi.basis for v in evj.basis)
 
 
 def check_left_right_isomorphic():

@@ -17,7 +17,9 @@ The spectral re-verification checks A = Aᵀ, E_i = E_iᵀ, A·E_i = c_i·E_i,
 ΣE_i = I_e and Σc_iE_i = A mod n: k products of d×d matrices for k
 distinct values.  E_iA = c_iE_i, E_iE_j = 0 for i ≠ j and E_i² = E_i
 are derived from those (the proof is in _reverify_spectral), not
-multiplied out.
+multiplied out.  The pseudo-orthogonality of the eigenspaces is derived
+too (from A = Aᵀ and the asserted eigenpairs; see _spectral_from_eigen),
+not computed.
 """
 
 from __future__ import annotations
@@ -344,12 +346,14 @@ def _spectral_from_eigen(es: EigenSystem):
     is already computed.
 
     For A = Aᵀ the eigenspaces of distinct values are pseudo-orthogonal:
-    (c_i − c_j)·uᵀv = (Au)ᵀv − uᵀ(Av) = 0.  When they span k^d, the
-    coordinate form, nondegenerate on k^d, is nondegenerate on each of
-    them, so the Gram matrix B_iᵀB_i of the d×m_i eigenbasis B_i is
-    invertible and E_i = B_i (B_iᵀB_i)⁻¹ B_iᵀ projects onto the eigenspace
-    along the sum of the others: the spectral projection.  Only the
-    m_i×m_i Gram matrices are inverted.
+    (c_i − c_j)·uᵀv = (Au)ᵀv − uᵀ(Av) = 0, and c_i − c_j is a unit of k,
+    so uᵀv = 0.  eigenspaces_pseudo_orthogonal is set by this theorem,
+    not computed.  When the eigenspaces span k^d, the coordinate form,
+    nondegenerate on k^d, is nondegenerate on each of them, so the Gram
+    matrix B_iᵀB_i of the d×m_i eigenbasis B_i is invertible and
+    E_i = B_i (B_iᵀB_i)⁻¹ B_iᵀ projects onto the eigenspace along the sum
+    of the others: the spectral projection.  Only the m_i×m_i Gram
+    matrices are inverted.
     """
     a = es.matrix
     if not es.diagonalizable:
@@ -378,18 +382,12 @@ def _spectral_from_eigen(es: EigenSystem):
         e_prime = _products([left[r:r + m] for r in range(0, dim * m, m)], b_rows, q)
         terms.append((ev.value, SubfieldMatrix(k, dim, dim, tuple(map(k.from_prime, e_prime)))))
     _reverify_spectral(a, terms)
-
-    orthogonal = True
-    for i in range(len(es.s_values)):
-        for j in range(i + 1, len(es.s_values)):
-            for u in es.s_values[i].basis:
-                for v in es.s_values[j].basis:
-                    if pseudo_inner_product(u, v) != 0:
-                        orthogonal = False
+    # pseudo-orthogonal by the theorem above: A = Aᵀ is asserted in
+    # _reverify_spectral and each eigenpair in eigen_system
     return SpectralDecomposition(
         terms=tuple(terms),
         residual_ok=True,
-        eigenspaces_pseudo_orthogonal=orthogonal,
+        eigenspaces_pseudo_orthogonal=True,
     )
 
 

@@ -230,10 +230,10 @@ def permutation_representation(subgroup: SubgroupRecord, action, points) -> Repr
     not a bijection, or whose matrices break the homomorphism law, raises
     TableError with a witness.  Basis: indicators of the sorted points.
     """
-    pts = sorted(points)
+    point_set = set(points)
+    pts = sorted(point_set)
     for x in subgroup.elements:
-        image = [action(x, p) for p in pts]
-        if sorted(image, key=str) != sorted(pts, key=str) or len(set(map(str, image))) != len(pts):
+        if {action(x, p) for p in pts} != point_set:  # onto a finite set iff bijective
             raise TableError(f"element {x} does not act bijectively", x)
     return make_representation(
         subgroup,

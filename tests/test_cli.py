@@ -485,11 +485,91 @@ class TestGolden:
         assert code == 0
         assert all(line.startswith("[PASS]") for line in out.strip().splitlines())
 
+    def test_a_failing_check_is_an_error_report(self, capsys, monkeypatch):
+        from smaralg import golden
+
+        def boom():
+            raise AssertionError("boom")
+
+        registry = list(golden.REGISTRY)
+        anchor, description, _ = registry[3]
+        registry[3] = (anchor, description, boom)
+        monkeypatch.setattr(golden, "REGISTRY", registry)
+        code, report = run_json(capsys, "golden")
+        assert code == 1 and report["status"] == "error"
+        assert report["citations"] == [a for a, _, _ in registry]
+        assert report["payload"][3] == {
+            "anchor": anchor, "description": description,
+            "passed": False, "detail": "AssertionError: boom",
+        }
+        assert sum(not entry["passed"] for entry in report["payload"]) == 1
+        code, out = run(capsys, "golden", "--pretty")
+        assert code == 1
+        assert f"[FAIL] {anchor}: {description} (AssertionError: boom)" in out.splitlines()
+
 
 def test_no_partial_json_on_error(capsys):
     code, out = run(capsys, "certify", "6", "--elements", "0,2")
     assert code == 1
     json.loads(out)  # the whole line is one valid JSON document
+
+
+_ONE_OF_EACH = [
+    ["subfields", "6"],
+    ["certify", "6", "--elements", "0,2,4"],
+    ["poly", "x^2+1 mod 5"],
+    ["spectral", "--matrix", json.dumps(TestSpectral.MATRIX)],
+    ["classify-roots", "x^2+1", "--mod", "6", "--subfield", "0,3"],
+    ["semigroup", "--file", "{table}", "--all-subgroups"],
+    ["rep", "--file", "{table}", "--identity", "0", "--check-lr", "--decompose"],
+    ["semivec", "--action", "independent", "--vectors", "1,1;2,1;3,0"],
+    ["markov", "--matrix", "1/2,3/10;1/2,7/10", "--state", "1,0", "--steps", "2"],
+    ["leontief", "--model", "open", "--matrix", "1/2,1/4;1/4,1/2", "--demand", "5,5"],
+    ["golden"],
+]
+
+
+@pytest.fixture
+def reports(capsys, monkeypatch):
+    """The stdout of each call of cli._print_report, one entry per call."""
+    seen = []
+    print_report = cli._print_report
+
+    def counting(*args, **kwargs):
+        print_report(*args, **kwargs)
+        seen.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(cli, "_print_report", counting)
+    return seen
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize(
+    "argv, want",
+    [(argv, 0) for argv in _ONE_OF_EACH] + [(["certify", "6", "--elements", "0,2"], 1)],
+    ids=[argv[0] for argv in _ONE_OF_EACH] + ["certify-rejected"],
+)
+def test_one_report_per_call(argv, want, pretty, reports, capsys, tmp_path):
+    table = tmp_path / "z3.json"
+    table.write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    argv = [str(table) if a == "{table}" else a for a in argv] + ["--pretty"] * pretty
+    code = main(argv)
+    assert len(reports) == 1 and capsys.readouterr().out == ""
+    assert code == want
+    if not pretty or code:  # an error report is JSON under --pretty too
+        report = json.loads(reports[0])
+        assert reports[0] == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        assert report["status"] == ("error" if code else "ok")
+
+
+def test_one_report_per_internal_error(reports, capsys, monkeypatch):
+    def handler(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_subfields", handler)
+    assert main(["subfields", "6"]) == 3
+    assert len(reports) == 1 and capsys.readouterr().out == ""
+    assert json.loads(reports[0])["payload"]["reason"] == "internal_error"
 
 
 class TestSemivecLattice:

@@ -629,7 +629,14 @@ def test_gram_projections_equal_the_eigenbasis_inverse_oracle(k, dim, by_reflect
         assert oracle is None and not by_reflections
         return
     assert terms_as_entries(result.terms) == terms_as_entries(oracle)
+    # the flag is set by theorem, so check it on the eigenbases themselves
     assert result.eigenspaces_pseudo_orthogonal
+    s_values = eigen_system(a).s_values
+    for i, evi in enumerate(s_values):
+        for evj in s_values[i + 1:]:
+            for u in evi.basis:
+                for v in evj.basis:
+                    assert pseudo_inner_product(u, v) == 0
 
 
 def with_entry(proj, x, value):

@@ -215,6 +215,26 @@ class TestPermutationRepresentation:
         with pytest.raises(TableError):
             permutation_representation(sub, bad, range(2))
 
+    def test_non_injective_action_rejected(self, z3_table):
+        sub = find_subgroups(z3_table)[0]
+
+        def collapse(x, p):  # element 1 sends every point to 0
+            return 0 if x == 1 else p
+
+        with pytest.raises(TableError, match="^element 1 does not act bijectively$") as exc:
+            permutation_representation(sub, collapse, range(3))
+        assert exc.value.witness == 1
+
+    def test_action_leaving_the_points_rejected(self, z3_table):
+        sub = find_subgroups(z3_table)[0]
+
+        def shift(x, p):  # element 2 sends the points 0, 1, 2 to 1, 2, 3
+            return p + 1 if x == 2 else p
+
+        with pytest.raises(TableError, match="^element 2 does not act bijectively$") as exc:
+            permutation_representation(sub, shift, range(3))
+        assert exc.value.witness == 2
+
 
 class TestMakeRepresentation:
     def test_broken_law_names_the_first_pair(self, t2_table):
