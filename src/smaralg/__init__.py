@@ -18,6 +18,7 @@ is a result dataclass whose JSON form is its public fields.
 
 import importlib
 from enum import Enum
+from itertools import chain
 
 __version__ = "0.1.0"
 
@@ -34,8 +35,13 @@ def json_form(x):
     if type(x) in _PLAIN:
         return x
     if isinstance(x, (list, tuple)):
-        if _PLAIN_TYPES.issuperset(map(type, x)):  # payloads hold many tuples of ints
+        if _PLAIN_TYPES.issuperset(map(type, x)):
             return list(x)
+        # payloads hold long lists of tuples of ints: passes in C, no call per item
+        if {tuple}.issuperset(map(type, x)) and _PLAIN_TYPES.issuperset(
+            map(type, chain.from_iterable(x))
+        ):
+            return list(map(list, x))
         return [json_form(v) for v in x]
     if isinstance(x, dict):
         # str keys before json.dumps sorts them, which would sort ints as numbers

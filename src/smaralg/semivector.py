@@ -14,30 +14,39 @@ scan, but a prefix is entered only when it can still be completed:
 
 - over a chain lattice by Sanchez's residuation bound (1976; see also
   Cuninghame-Green, *Minimax Algebra*): coefficient i never exceeds
-  min{t_j : g_ij > t_j}, and a prefix completes exactly when it,
-  combined with every later generator at the largest allowed scalar
-  under that bound, gives the target.  That test costs O(k*d), so a
-  non-member is decided before any coefficient is tried;
+  min{t_j : g_ij > t_j}, so every partial combination stays <= t and
+  only which coordinates already equal the target decides whether a
+  prefix completes.  The search state is that set of covered
+  coordinates (a bitmask, at most 2^d per level), and a prefix completes
+  exactly when its coordinates and those that every later generator
+  covers at the largest allowed scalar are all of them.  That test
+  costs O(d), so a non-member is decided before any coefficient is
+  tried;
 - over the nonnegative integers by reachability of the residual target
   t - (prefix combination), which must stay >= 0 and within what the
   later generators can cover; the residuals the last generators can
   cover are tabulated exactly, each packed into one int with a guard
   bit per coordinate so that a table level is built by int additions
-  and one mask test per sum, and a (generator index, residual) state
-  whose subtree held no solution is remembered for the rest of the call
-  and never entered again.
+  and one mask test per sum.
+
+A (level, state) pair is searched at most once per call: when its
+subtree is finished, its fruitful (coefficient, next state) edges are
+stored (none for a dead state), and every later prefix that reaches the
+pair replays them instead of searching again.  Once the distinct states
+are solved, the cost of an enumeration is linear in its output.
 
 The semifield operations are builtins (``max``/``min`` over a chain,
-``operator.add``/``operator.mul`` over the integers).  Every returned
-coefficient tuple is re-verified with ``combine``, which recomputes it
-from scratch one coordinate at a time.
+``operator.add``/``operator.mul`` over the integers), and ``dot`` is one
+builtin reduction.  Every returned coefficient tuple, searched or
+replayed, is re-verified with ``combine``, which recomputes it from
+scratch one coordinate at a time.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from itertools import repeat
 
 from . import Record
 
@@ -54,6 +63,11 @@ class NonNegIntegers(Record):
     zero = 0
     one = 1
     add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+
+    @staticmethod
+    def dot(coeffs, column) -> int:
+        """sum_i c_i * x_i."""
+        return sum(map(operator.mul, coeffs, column))
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,11 @@ class ChainLattice(Record):
 
     add, mul = staticmethod(max), staticmethod(min)  # join and meet
 
+    @staticmethod
+    def dot(coeffs, column) -> int:
+        """The join of the meets min(c_i, x_i); the bottom 0 when empty."""
+        return max(map(min, coeffs, column), default=0)
+
     def carrier(self) -> range:
         return range(self.size)
 
@@ -104,13 +123,9 @@ class SemivectorTuple:
 
 def combine(semifield, coeffs, vectors) -> tuple:
     """sum_i c_i * v_i with the semifield's operations, one coordinate
-    (column of the family) at a time; coefficients beyond the family, or
-    vectors beyond the coefficients, take no part."""
-    add, mul, zero = semifield.add, semifield.mul, semifield.zero
-    return tuple(
-        reduce(add, map(mul, coeffs, column), zero)
-        for column in zip(*(v.entries for v in vectors))
-    )
+    (column of the family) at a time by ``semifield.dot``; coefficients
+    beyond the family, or vectors beyond the coefficients, take no part."""
+    return tuple(map(semifield.dot, repeat(coeffs), zip(*[v.entries for v in vectors])))
 
 
 def _check_family(vectors):
@@ -164,39 +179,49 @@ class SpanResult:
 
 
 def _chain_bounds(sf, target, generators, ranges):
-    """(candidates, completes) for the search over a chain lattice, from
-    Sanchez's residuation bound.
+    """(start, step, candidates, completes) for the search over a chain
+    lattice, from Sanchez's residuation bound.
 
     candidates(i): the scalars of ranges[i], in order, that are at most
     min{t_j : g_ij > t_j} (the top when no such j); any larger one
-    overshoots the target.  suffix[i]: the combination of generators
-    i..k-1, each at the largest of its candidates, or None where some
-    generator from i on has none.  combine is monotone, so suffix[i] is
-    the largest combination those generators can add without
-    overshooting, and a prefix combination completes exactly when its
-    join with suffix[i] is the target.
+    overshoots the target.  With only those, min(c, g_ij) <= t_j for
+    every term, so every partial combination stays <= t, and whether a
+    prefix completes depends only on the coordinates it already takes to
+    t_j: the state is that set, a bitmask from start (the coordinates
+    where t_j is 0), and step(state, i, c) adds the coordinates where
+    min(c, g_ij) = t_j.  suffix[i]: the coordinates that generators
+    i..k-1 cover, each at the largest of its candidates, or None where
+    some generator from i on has none.  combine is monotone, so no later
+    choice covers more, and a state completes exactly when it and
+    suffix[i] cover every coordinate.
     """
     t = target.entries
-    allowed = []
+    full = (1 << len(t)) - 1
+    allowed, covers = [], []
     for g, r in zip(generators, ranges):
         bound = min((tj for tj, x in zip(t, g.entries) if x > tj), default=sf.one)
         allowed.append([c for c in r if c <= bound])
-    acc = (sf.zero,) * len(t)
-    suffix = [None] * len(generators) + [acc]
+        covers.append({
+            c: sum(1 << j for j, (tj, x) in enumerate(zip(t, g.entries)) if min(c, x) == tj)
+            for c in allowed[-1]
+        })
+    suffix = [None] * len(generators) + [0]
     for i in range(len(generators) - 1, -1, -1):
         if not allowed[i]:
             break
-        top = max(allowed[i])
-        acc = tuple(max(a, min(top, x)) for a, x in zip(acc, generators[i].entries))
-        suffix[i] = acc
+        suffix[i] = suffix[i + 1] | covers[i][max(allowed[i])]
+    start = sum(1 << j for j, tj in enumerate(t) if tj == sf.zero)
 
-    def candidates(i, acc):
+    def step(state, i, c):
+        return state | covers[i][c]
+
+    def candidates(i, state):
         return allowed[i]
 
-    def completes(i, acc):
-        return suffix[i] is not None and tuple(map(max, acc, suffix[i])) == t
+    def completes(i, state):
+        return suffix[i] is not None and state | suffix[i] == full
 
-    return candidates, completes
+    return start, step, candidates, completes
 
 
 # Most tuples built for the exact residual sets of the last generators.
@@ -243,8 +268,9 @@ def _exact_residual_sets(target, generators, ranges):
 
 
 def _nonneg_bounds(target, generators, ranges):
-    """(candidates, completes) for the residual search over the
-    nonnegative integers with nonnegative scalars.
+    """(start, step, candidates, completes) for the residual search over
+    the nonnegative integers with nonnegative scalars: the state is the
+    residual target, from the target itself.
 
     Every term is >= 0, so no coefficient may take the residual below 0,
     and generators i..k-1 cover at most reach[i] in each coordinate; at
@@ -258,6 +284,9 @@ def _nonneg_bounds(target, generators, ranges):
     reach.reverse()
     exact, pack = _exact_residual_sets(target, generators, ranges)
 
+    def step(residual, i, c):
+        return tuple(r - c * x for r, x in zip(residual, generators[i].entries))
+
     def candidates(i, residual):
         cap = min(
             (r // x for r, x in zip(residual, generators[i].entries) if x), default=None
@@ -269,7 +298,7 @@ def _nonneg_bounds(target, generators, ranges):
             return pack(residual) in exact[i]
         return all(r <= m for r, m in zip(residual, reach[i]))
 
-    return candidates, completes
+    return target.entries, step, candidates, completes
 
 
 _EXHAUSTED = object()
@@ -278,69 +307,88 @@ _EXHAUSTED = object()
 def _solutions(sf, target, generators, ranges):
     """The coefficient tuples of itertools.product(*ranges) that combine
     to the target, in that order, skipping every prefix that cannot be
-    completed.  Each one is re-verified with ``combine`` before it is
-    yielded; with no generators, () is yielded exactly when the target is
-    zero (``combine`` cannot size the empty combination).  The search
-    state is the combination so far (chain lattice) or the residual
-    target (nonnegative integers).
+    completed.  Each one, searched or replayed, is re-verified with
+    ``combine`` before it is yielded; with no generators, () is yielded
+    exactly when the target is zero (``combine`` cannot size the empty
+    combination).
+
+    ``solved`` maps each (level, state) pair whose subtree has been
+    searched to the (coefficient, next state) edges that lead to a
+    solution, in order; a dead state maps to no edge.  A prefix that
+    reaches a solved pair replays its edges (``_replay``) and searches
+    nothing under it.
     """
     t = target.entries
     k = len(generators)
     if isinstance(sf, ChainLattice):
-        start = (sf.zero,) * len(t)
-        meets = [{} for _ in generators]  # c -> meet of c with generator i
-
-        def step(acc, i, c):
-            meet = meets[i].get(c)
-            if meet is None:
-                meet = meets[i][c] = tuple(min(c, x) for x in generators[i].entries)
-            return tuple(map(max, acc, meet))
-
-        candidates, completes = _chain_bounds(sf, target, generators, ranges)
+        bounds = _chain_bounds(sf, target, generators, ranges)
     else:
-        start = t
-
-        def step(residual, i, c):
-            return tuple(r - c * x for r, x in zip(residual, generators[i].entries))
-
-        candidates, completes = _nonneg_bounds(target, generators, ranges)
-
+        bounds = _nonneg_bounds(target, generators, ranges)
+    start, step, candidates, completes = bounds
     if not completes(0, start):
         return
     if k == 0:
         if target.is_zero():
             yield ()
         return
-    dead = set()  # (level, state) pairs whose subtree held no solution
-    prefix, states, fruitful = [], [start], [False]
+    solved = {}
+    prefix, states, edges = [], [start], [[]]
     choices = [iter(candidates(0, start))]
     while choices:
         i = len(choices) - 1
         c = next(choices[i], _EXHAUSTED)
         if c is _EXHAUSTED:
             choices.pop()
-            state = states.pop()
-            if fruitful.pop():
-                if fruitful:
-                    fruitful[-1] = True
-            else:
-                dead.add((i, state))
+            state, found = states.pop(), edges.pop()
+            solved[i, state] = found
             if prefix:
-                prefix.pop()
+                c = prefix.pop()
+                if found:
+                    edges[-1].append((c, state))
             continue
         state = step(states[i], i, c)
-        if (i + 1, state) in dead or not completes(i + 1, state):
-            continue
         if i + 1 == k:
-            coeffs = (*prefix, c)
-            if combine(sf, coeffs, generators) == t:
-                fruitful[i] = True
-                yield coeffs
+            if completes(k, state):
+                coeffs = (*prefix, c)
+                if combine(sf, coeffs, generators) == t:
+                    edges[i].append((c, state))
+                    yield coeffs
+            continue
+        found = solved.get((i + 1, state))
+        if found is None:
+            if completes(i + 1, state):
+                prefix.append(c)
+                states.append(state)
+                edges.append([])
+                choices.append(iter(candidates(i + 1, state)))
+        elif found:
+            edges[i].append((c, state))
+            head = (*prefix, c)
+            for tail in _replay(solved, i + 1, found, k):
+                coeffs = head + tail
+                if combine(sf, coeffs, generators) == t:
+                    yield coeffs
+
+
+def _replay(solved, level, found, k):
+    """The coefficient tails, in order, along the recorded edges ``found``
+    of the solved pair at ``level`` and the solved pairs below it; every
+    path ends at a solution, so the cost is linear in the tails."""
+    tail, stack = [], [iter(found)]
+    while stack:
+        edge = next(stack[-1], None)
+        if edge is None:
+            stack.pop()
+            if tail:
+                tail.pop()
+            continue
+        c, state = edge
+        below = level + len(stack)
+        if below == k:
+            yield (*tail, c)
         else:
-            prefix.append(c)
-            states.append(state)
-            choices.append(iter(candidates(i + 1, state)))
-            fruitful.append(False)
+            tail.append(c)
+            stack.append(iter(solved[below, state]))
 
 
 def span_membership(target: SemivectorTuple, generators, scalars=None) -> SpanResult:

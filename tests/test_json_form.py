@@ -76,3 +76,21 @@ def test_bilinear_form_report_form():
 def test_spectral_diagnostic_form(q, rows, form):
     diagnostic = spectral_decompose(SubfieldMatrix.from_rows(Subfield.whole_prime(q), rows))
     assert diagnostic.to_json() == form
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [(0, 1, 2), (3, 4, 5), ()],
+        [(1, Fraction(1, 2)), (2, 3)],
+        [(1, (2, 3)), (4, 5)],
+        [(True, 0), (1, None, "x")],
+        [(1, 2), [3, 4]],
+    ],
+    ids=["plain", "fraction", "nested", "bool", "mixed-sequences"],
+)
+def test_list_of_tuples_matches_the_per_item_form(items):
+    per_item = [json_form(v) for v in items]
+    assert json_form(items) == per_item
+    assert json_form(tuple(items)) == per_item
+    assert json.dumps(json_form(items)) == json.dumps(per_item)

@@ -264,6 +264,97 @@ def test_pruned_search_matches_product_oracle(problem):
     assert_matches_oracles(*problem)
 
 
+@st.composite
+def replayed_problems(draw):
+    """(generators, target, scalars) with up to five generators, over
+    C_2..C_4 or over the nonnegative integers with entries <= 2 (targets
+    <= 4, so the product box stays within 5^5 tuples): enough prefixes
+    to reach one (level, state) pair twice and replay it."""
+    if draw(st.booleans()):
+        sf = ChainLattice(draw(st.integers(2, 4)))
+        entry = target_entry = scalar = st.integers(0, sf.size - 1)
+    else:
+        sf, entry, target_entry, scalar = NN, st.integers(0, 2), st.integers(0, 4), st.integers(0, 3)
+    d = draw(st.integers(0, 3))
+    tuples = st.lists(entry, min_size=d, max_size=d).map(lambda e: SemivectorTuple(sf, e))
+    generators = draw(st.lists(tuples, max_size=5))
+    target = SemivectorTuple(sf, draw(st.lists(target_entry, min_size=d, max_size=d)))
+    scalars = draw(st.none() | st.lists(scalar, max_size=4))
+    return generators, target, scalars
+
+
+@settings(max_examples=200, deadline=None)
+@given(replayed_problems())
+def test_replayed_search_matches_product_oracle(problem):
+    generators, target, scalars = problem
+    assert outcome(span_membership, target, generators, scalars) == outcome(
+        product_span, target, generators, scalars
+    )
+    assert outcome(enumerate_representations, target, generators, scalars) == outcome(
+        product_enumerate, target, generators, scalars
+    )
+
+
+REPLAYED_PROBLEMS = [
+    # duplicate generators over C_4 and over the integers
+    ([(2, 1), (2, 1), (3, 0), (1, 3)], (3, 3), None, 4),
+    ([(1, 1), (1, 1), (2, 2)], (4, 4), None, None),
+    # a zero generator over C_3, and two over the integers with scalars
+    ([(0, 0), (2, 1), (1, 2)], (2, 2), None, 3),
+    ([(0, 0), (1, 1), (1, 0), (0, 0)], (2, 2), [2, 0, 1], None),
+    # unsorted, repeated explicit scalars over C_5
+    ([(4, 1), (1, 4), (2, 2), (3, 3)], (3, 3), [3, 0, 2, 3], 5),
+]
+
+
+@pytest.mark.parametrize("case", REPLAYED_PROBLEMS)
+def test_fixed_cases_replay_a_solved_state_and_match_the_oracle(case):
+    generators, target, scalars = fixed_problem(*case)
+    with mock.patch.object(semivector, "_replay", wraps=semivector._replay) as replay:
+        reps = enumerate_representations(target, generators, scalars)
+    assert replay.call_count >= 1
+    assert reps == product_enumerate(target, generators, scalars)
+    assert_matches_oracles(generators, target, scalars)
+
+
+def count_completes(target, generators):
+    """(representations, calls of the ``completes`` that _chain_bounds
+    returns) for one enumeration."""
+    calls = 0
+    chain_bounds = semivector._chain_bounds
+
+    def counting_bounds(*args):
+        *search, completes = chain_bounds(*args)
+
+        def counted(i, state):
+            nonlocal calls
+            calls += 1
+            return completes(i, state)
+
+        return (*search, counted)
+
+    with mock.patch.object(semivector, "_chain_bounds", counting_bounds):
+        reps = enumerate_representations(target, generators)
+    return len(reps), calls
+
+
+def test_chain_enumeration_searches_each_covered_set_once():
+    """At most 2^d coverage states per level, each searched once over at
+    most m candidates: at most (k+1)*2^d*m completion tests, however many
+    representations the output lists."""
+    c6 = ChainLattice(6)
+    rows = [(5, 1, 0), (0, 5, 1), (1, 0, 5), (3, 3, 3), (4, 2, 0), (0, 4, 2), (2, 0, 4), (5, 5, 5)]
+    generators = [SemivectorTuple(c6, g) for g in rows]
+    bound = (len(generators) + 1) * 2**3 * c6.size
+    counts = [
+        count_completes(SemivectorTuple(c6, t), generators)
+        for t in [(1, 1, 1), (2, 2, 2), (4, 3, 2)]
+    ]
+    assert [reps for reps, _ in counts] == [246, 4865, 7490]
+    assert all(calls <= bound for _, calls in counts)
+    assert bound * 10 < max(reps for reps, _ in counts)
+
+
 def unpack(packed, t):
     """The residual of a packed table entry: w = max(t).bit_length() + 2
     bits per coordinate, coordinate j offset by 2^(w-1) - 1 - t_j."""
